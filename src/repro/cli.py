@@ -753,6 +753,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     from repro.ir.parser import IRParseError
     from repro.ir.verifier import VerificationError
     from repro.oracle.differ import UnknownConfigError
+    from repro.runtime import StepLimitExceeded
     from repro.workloads.corpus import CorpusError
 
     parser = build_parser()
@@ -772,6 +773,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     except (IRParseError, VerificationError) as error:
         print(f"invalid module: {error}", file=sys.stderr)
+        return 2
+    except StepLimitExceeded as error:
+        print(
+            f"error: step limit reached, the program may not terminate ({error})",
+            file=sys.stderr,
+        )
         return 2
 
 

@@ -89,6 +89,13 @@ def redundant_check_elimination(
     stats = Opt2Stats()
     redirected: Set[Node] = set()
     barred = _feeds_bitwise(scratch, by_uid)
+    # ⊤ joins every closure fed by a constant, and its out-edges span
+    # the whole program.  Intraprocedurally only a consumer in the
+    # check's own function can be redirected, so ⊤'s consumers are
+    # indexed once by that function and Line 5 reads one bucket.
+    top_consumers = (
+        None if interprocedural else _top_consumers_by_function(scratch, by_uid)
+    )
 
     for site in vfg.check_sites:
         if not isinstance(site.node, TopNode):
@@ -97,6 +104,7 @@ def redundant_check_elimination(
         if check_instr is None or check_instr.block is None:
             continue
         stats.sites_processed += 1
+        check_func = check_instr.block.function.name
 
         # Line 3: the must-flow-from closure of x.
         mfc = compute_mfc(scratch, module, site.node)
@@ -119,12 +127,16 @@ def redundant_check_elimination(
         # Line 5: consumers of closure values outside the closure.
         consumers: Set[Node] = set()
         for node in closure:
+            if top_consumers is not None and node == TOP:
+                for r in top_consumers.get(check_func, ()):
+                    if r not in closure:
+                        consumers.add(r)
+                continue
             for edge in scratch.flows_of(node):
                 if edge.dst not in closure and not isinstance(edge.dst, Root):
                     consumers.add(edge.dst)
 
         # Lines 6-8: redirect dominated consumers to ⊤.
-        check_func = check_instr.block.function.name
         for r in consumers:
             if r in barred:
                 continue  # still feeds a bitwise op (§4.1 adjustment)
@@ -168,6 +180,8 @@ def redundant_check_elimination(
                     changed = True
             if changed:
                 scratch.add_edge(TOP, r)
+                if top_consumers is not None:
+                    top_consumers.setdefault(r_func, set()).add(r)
                 redirected.add(r)
                 if cross_function:
                     stats.interprocedural_redirects += 1
@@ -195,6 +209,31 @@ def redundant_check_elimination(
     else:
         gamma = resolve_definedness(scratch, context_depth)
     return gamma, stats
+
+
+def _def_function(vfg: VFG, node: Node, by_uid) -> Optional[str]:
+    """The function of ``node``'s defining instruction — how Lines 6-8
+    resolve a consumer's function — or ``None`` when it has none."""
+    uid, _ = vfg.def_site.get(node, (None, ""))
+    if uid is None:
+        return None
+    instr = by_uid.get(uid)
+    if instr is None or instr.block is None:
+        return None
+    return instr.block.function.name
+
+
+def _top_consumers_by_function(vfg: VFG, by_uid) -> Dict[str, Set[Node]]:
+    """⊤'s non-root consumers, bucketed by :func:`_def_function`.
+
+    Consumers without a defining instruction are left out: Lines 6-8
+    never redirect them intraprocedurally."""
+    buckets: Dict[str, Set[Node]] = {}
+    for edge in vfg.flows_of(TOP):
+        func = _def_function(vfg, edge.dst, by_uid)
+        if func is not None and not isinstance(edge.dst, Root):
+            buckets.setdefault(func, set()).add(edge.dst)
+    return buckets
 
 
 def _feeds_bitwise(vfg: VFG, by_uid) -> Set[Node]:

@@ -6,17 +6,20 @@ Typical use::
     result = run_usher(prepared, UsherConfig.full())
     msan = run_msan(prepared)
 
-``prepare_module`` runs phases 1-2 of Figure 3 once; each configuration
-then builds its own VFG (phase 3), resolves definedness (phase 4),
-optionally applies the VFG-based optimizations (phase 5 — Opt I/Opt II)
+``prepare_module`` runs phases 1-2 of Figure 3 once.  The
+:class:`PreparedModule` then builds each distinct VFG (phase 3) once
+and shares it, read-only, across the configurations that ask for the
+same graph; likewise the eager definedness resolution (phase 4) of each
+graph.  Each configuration optionally applies the VFG-based
+optimizations (phase 5 — Opt I/Opt II; Opt II rewires a private copy)
 and generates guided instrumentation.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
-from typing import Dict, Optional
+from dataclasses import dataclass, field, replace
+from typing import Dict, Optional, Tuple
 
 from repro.ir.module import Module
 from repro.analysis.andersen import PointerResult, analyze_pointers
@@ -139,11 +142,63 @@ class PreparedModule:
     callgraph: CallGraph
     modref: ModRefResult
     prepare_seconds: float
+    #: Built VFGs by :func:`_graph_key`; shared read-only by configs.
+    _vfgs: Dict[Tuple[bool, bool, bool], VFG] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    #: Eager Γ by (graph key, resolver, context depth).
+    _gammas: Dict[tuple, Definedness] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def solver_stats(self) -> Optional[SolverStats]:
         """Constraint-solver profile of the pointer-analysis phase."""
         return self.pointers.solver_stats
+
+    def vfg(self, config: UsherConfig) -> VFG:
+        """The VFG ``config`` analyzes, built on first request.
+
+        Configurations with the same :func:`_graph_key` get the same
+        object; no consumer may mutate it (Opt II rewires a copy)."""
+        key = _graph_key(config)
+        vfg = self._vfgs.get(key)
+        if vfg is None:
+            with TRACE.span("vfg.build", config=config.name):
+                vfg = build_vfg(
+                    self.module,
+                    self.pointers,
+                    self.callgraph,
+                    self.modref,
+                    address_taken=config.address_taken,
+                    semi_strong=config.semi_strong,
+                    array_init=config.array_init,
+                )
+            if vfg.stats is not None:
+                REGISTRY.record_vfg(vfg.stats, config=config.name)
+            self._vfgs[key] = vfg
+        return vfg
+
+    def gamma(self, config: UsherConfig) -> Definedness:
+        """Γ of ``config``'s VFG, without Opt II.
+
+        The eager resolvers' Γ is computed once per graph, resolver and
+        context depth; a demand-driven Γ carries its own engine and
+        query statistics, so each request resolves afresh."""
+        if config.demand:
+            return resolve_for_config(self.vfg(config), config)
+        key = (_graph_key(config), config.resolver, config.context_depth)
+        gamma = self._gammas.get(key)
+        if gamma is None:
+            gamma = resolve_for_config(self.vfg(config), config)
+            self._gammas[key] = gamma
+        return gamma
+
+
+def _graph_key(config: UsherConfig) -> Tuple[bool, bool, bool]:
+    """The :func:`build_vfg` arguments that ``config`` sets: configs
+    with equal keys analyze identical graphs."""
+    return (config.address_taken, config.semi_strong, config.array_init)
 
 
 @dataclass
@@ -234,22 +289,15 @@ def prepare_module(
 
 
 def run_usher(prepared: PreparedModule, config: UsherConfig) -> UsherResult:
-    """Phases 3-5 of Figure 3 under ``config``."""
+    """Phases 3-5 of Figure 3 under ``config``.
+
+    The VFG (and, without Opt II, the eager Γ) comes from ``prepared``'s
+    memo, so configurations that analyze the same graph share one build
+    and ``UsherResult.vfg`` may be the same object across results."""
     started = time.perf_counter()
-    with TRACE.span("vfg.build", config=config.name):
-        vfg = build_vfg(
-            prepared.module,
-            prepared.pointers,
-            prepared.callgraph,
-            prepared.modref,
-            address_taken=config.address_taken,
-            semi_strong=config.semi_strong,
-            array_init=config.array_init,
-        )
-    if vfg.stats is not None:
-        REGISTRY.record_vfg(vfg.stats, config=config.name)
     if config.resolver not in ("callstring", "summary"):
         raise ValueError(f"unknown resolver {config.resolver!r}")
+    vfg = prepared.vfg(config)
     opt2_stats: Optional[Opt2Stats] = None
     if config.opt2:
         # Opt II re-resolves Γ on its rewired scratch graph; resolving
@@ -269,7 +317,7 @@ def run_usher(prepared: PreparedModule, config: UsherConfig) -> UsherResult:
     else:
         with TRACE.span("gamma.resolve", config=config.name,
                         resolver=config.resolver, demand=config.demand):
-            gamma = resolve_for_config(vfg, config)
+            gamma = prepared.gamma(config)
     with TRACE.span("instrument", config=config.name, opt1=config.opt1):
         plan, guided_stats = build_guided_plan(
             prepared.module,

@@ -41,9 +41,10 @@ same module.
 
 from __future__ import annotations
 
-import copy
+import pickle
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import (
     Dict,
     FrozenSet,
@@ -79,7 +80,6 @@ from repro.core.usher import (
     PreparedModule,
     UsherConfig,
     UsherResult,
-    resolve_for_config,
     run_msan,
 )
 from repro.core.instrument import build_guided_plan
@@ -88,7 +88,6 @@ from repro.core.plan import InstrumentationPlan
 from repro.memssa import build_memory_ssa
 from repro.options import AnalysisOptions
 from repro.tinyc import compile_source
-from repro.vfg.builder import build_vfg
 from repro.vfg.demand import DemandEngine, LazyDefinedness, State
 from repro.vfg.explain import FlowStep, explain_check_site
 from repro.vfg.graph import Node, Root, VFG
@@ -175,6 +174,44 @@ def _vfg_fingerprints(vfg: VFG) -> Dict[str, FrozenSet]:
     return {bucket: frozenset(items) for bucket, items in per.items()}
 
 
+def _rewired_fingerprints(
+    fingerprints: Dict[str, FrozenSet], base: VFG, scratch: VFG
+) -> Dict[str, FrozenSet]:
+    """:func:`_vfg_fingerprints` of ``scratch``, a :meth:`VFG.copy` of
+    ``base`` whose edges Opt II rewired (its check sites are
+    ``base``'s), derived from ``base``'s ``fingerprints``: only the
+    buckets touched by added or removed edges and by new nodes are
+    rebuilt."""
+    added, removed = scratch.edge_changes(base)
+    patched: Dict[str, Set] = {}
+
+    def items_of(bucket: Optional[str]) -> Set:
+        if bucket is None:
+            return set()
+        items = patched.get(bucket)
+        if items is None:
+            items = patched[bucket] = set(fingerprints.get(bucket, ()))
+        return items
+
+    for node in scratch.nodes()[base.num_nodes:]:
+        items_of(_node_bucket(node)).add(("node", node))
+    for src, dst, kind, callsite in removed:
+        item = ("edge", src, dst, kind, callsite)
+        items_of(_node_bucket(src)).discard(item)
+        items_of(_node_bucket(dst)).discard(item)
+    for src, dst, kind, callsite in added:
+        item = ("edge", src, dst, kind, callsite)
+        items_of(_node_bucket(src)).add(item)
+        items_of(_node_bucket(dst)).add(item)
+    result = dict(fingerprints)
+    for bucket, items in patched.items():
+        if items:
+            result[bucket] = frozenset(items)
+        else:
+            result.pop(bucket, None)
+    return result
+
+
 def _dirty_buckets(
     old: Dict[str, FrozenSet], new: Dict[str, FrozenSet]
 ) -> Set[str]:
@@ -183,6 +220,13 @@ def _dirty_buckets(
         for bucket in set(old) | set(new)
         if old.get(bucket) != new.get(bucket)
     }
+
+
+def _copy_module(module: Module) -> Module:
+    """A deep copy of ``module``.  The IR defines no copy or pickle
+    hooks, so a pickle round trip copies exactly what
+    ``copy.deepcopy`` would, at a third of its cost."""
+    return pickle.loads(pickle.dumps(module, pickle.HIGHEST_PROTOCOL))
 
 
 # ----------------------------------------------------------------------
@@ -824,7 +868,7 @@ class AnalysisSession:
         finally:
             if tape_pool is not None:
                 tape_pool.shutdown()
-        working = copy.deepcopy(module)
+        working = _copy_module(module)
         callgraph = CallGraph(working, pointers)
         modref = ModRefResult(working, pointers, callgraph)
         build_memory_ssa(working, pointers, modref)
@@ -1108,15 +1152,7 @@ class AnalysisSession:
         config = self._config
         prepared = self.prepared
         started = time.perf_counter()
-        vfg = build_vfg(
-            prepared.module,
-            prepared.pointers,
-            prepared.callgraph,
-            prepared.modref,
-            address_taken=config.address_taken,
-            semi_strong=config.semi_strong,
-            array_init=config.array_init,
-        )
+        vfg = prepared.vfg(config)
         fingerprints = _vfg_fingerprints(vfg)
         if self._main_fps is None:
             dirty = set(fingerprints)
@@ -1131,7 +1167,9 @@ class AnalysisSession:
         opt2_stats = None
         if config.opt2:
             factory = (
-                self._opt2_engine_factory if config.demand else None
+                partial(self._opt2_engine_factory, vfg, fingerprints)
+                if config.demand
+                else None
             )
             gamma, opt2_stats = redundant_check_elimination(
                 prepared.module,
@@ -1149,7 +1187,7 @@ class AnalysisSession:
             engine.query_sites(vfg.check_sites, jobs=config.jobs)
             gamma = engine.gamma()
         else:
-            gamma = resolve_for_config(vfg, config)
+            gamma = prepared.gamma(config)
         plan, guided_stats = build_guided_plan(
             prepared.module,
             vfg,
@@ -1169,8 +1207,12 @@ class AnalysisSession:
         )
         return dirty, dirty_nodes, total_nodes
 
-    def _opt2_engine_factory(self, scratch: VFG) -> _SessionEngine:
-        return self._carry_bank("opt2", scratch, _vfg_fingerprints(scratch))
+    def _opt2_engine_factory(
+        self, base: VFG, base_fps: Dict[str, FrozenSet], scratch: VFG
+    ) -> _SessionEngine:
+        return self._carry_bank(
+            "opt2", scratch, _rewired_fingerprints(base_fps, base, scratch)
+        )
 
     def _carry_bank(
         self,

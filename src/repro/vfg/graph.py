@@ -164,8 +164,9 @@ class VFG:
         self._node_list: List[Node] = []
         #: edge rows, _ROW words each, append-only
         self._columns = Int64Arena()
-        #: (src, dst, kind, callsite) -> row index (dedupe + removal)
-        self._edge_ids: Dict[Tuple[Node, Node, str, Optional[int]], int] = {}
+        #: the row's words ``(src nid, dst nid, kind code, callsite)``
+        #: -> row index (dedupe + removal); int keys hash cheaply
+        self._edge_ids: Dict[Tuple[int, int, int, int], int] = {}
         #: row index -> materialized Edge (lazy)
         self._edge_cache: Dict[int, Edge] = {}
         #: node id -> in-/out-edge row indices, insertion order
@@ -208,20 +209,18 @@ class VFG:
         kind: str = INTRA,
         callsite: Optional[int] = None,
     ) -> None:
-        key = (src, dst, kind, callsite)
-        if key in self._edge_ids:
-            return
         sid = self._nid(src)
         did = self._nid(dst)
-        eid = len(self._columns) // _ROW
-        self._columns.extend(
-            (
-                sid,
-                did,
-                _KIND_CODES[kind],
-                _NO_CALLSITE if callsite is None else callsite,
-            )
+        key = (
+            sid,
+            did,
+            _KIND_CODES[kind],
+            _NO_CALLSITE if callsite is None else callsite,
         )
+        if key in self._edge_ids:
+            return
+        eid = len(self._columns) // _ROW
+        self._columns.extend(key)
         self._edge_ids[key] = eid
         self._deps.setdefault(did, []).append(eid)
         self._flows.setdefault(sid, []).append(eid)
@@ -229,13 +228,22 @@ class VFG:
         self._flows.setdefault(did, [])
 
     def remove_edge(self, edge: Edge) -> None:
-        key = (edge.src, edge.dst, edge.kind, edge.callsite)
+        sid = self._node_ids.get(edge.src)
+        did = self._node_ids.get(edge.dst)
+        if sid is None or did is None:
+            return
+        key = (
+            sid,
+            did,
+            _KIND_CODES[edge.kind],
+            _NO_CALLSITE if edge.callsite is None else edge.callsite,
+        )
         eid = self._edge_ids.pop(key, None)
         if eid is None:
             return
         self._columns.words[eid * _ROW + 2] = _DEAD
-        self._deps[self._node_ids[edge.dst]].remove(eid)
-        self._flows[self._node_ids[edge.src]].remove(eid)
+        self._deps[did].remove(eid)
+        self._flows[sid].remove(eid)
         self._edge_cache.pop(eid, None)
 
     def remove_edges_between(self, src: Node, dst: Node) -> int:
@@ -254,14 +262,7 @@ class VFG:
         ]
         for eid in matches:
             base = eid * _ROW
-            callsite = words[base + 3]
-            key = (
-                src,
-                dst,
-                _KIND_FROM_CODE[words[base + 2]],
-                None if callsite == _NO_CALLSITE else callsite,
-            )
-            del self._edge_ids[key]
+            del self._edge_ids[(sid, did, words[base + 2], words[base + 3])]
             words[base + 2] = _DEAD
             self._deps[did].remove(eid)
             self._flows[sid].remove(eid)
@@ -353,3 +354,31 @@ class VFG:
         clone.def_site = dict(self.def_site)
         clone.stats = self.stats
         return clone
+
+    def edge_changes(self, base: "VFG"):
+        """How this graph, a :meth:`copy` of ``base`` rewired since,
+        differs from it: ``(added, removed)`` lists of
+        ``(src, dst, kind, callsite)``.
+
+        The copy shares ``base``'s node ids, so the comparison runs on
+        the interned integer keys.  Raises ``ValueError`` when ``base``
+        is not this graph's origin (or gained nodes after the copy)."""
+        nodes = self._node_list
+        if nodes[: len(base._node_list)] != base._node_list:
+            raise ValueError(
+                "edge_changes() needs the graph this one was copied from"
+            )
+
+        def rows(keys):
+            return [
+                (
+                    nodes[sid],
+                    nodes[did],
+                    _KIND_FROM_CODE[code],
+                    None if callsite == _NO_CALLSITE else callsite,
+                )
+                for sid, did, code, callsite in keys
+            ]
+
+        mine, theirs = self._edge_ids.keys(), base._edge_ids.keys()
+        return rows(mine - theirs), rows(theirs - mine)

@@ -51,6 +51,8 @@ from repro.vfg.graph import TOP, Node, Root, TopNode, VFG
 _EXPAND_KINDS = frozenset({"copy", "unop", "binop", "gep"})
 #: Definition kinds contributing the ⊤ root as a source.
 _CONST_KINDS = frozenset({"const", "alloc", "addr"})
+#: Definition kinds the closure does not stop at.
+_CLOSURE_KINDS = _EXPAND_KINDS | _CONST_KINDS
 
 _BITWISE_OPS = frozenset({"&", "|", "^", "<<", ">>"})
 
@@ -128,9 +130,7 @@ def compute_mfc(
             mfc.sources.add(node)
             continue
         uid, kind = vfg.def_site.get(node, (None, "unknown"))
-        if not isinstance(node, TopNode) or kind not in (
-            _EXPAND_KINDS | _CONST_KINDS
-        ):
+        if not isinstance(node, TopNode) or kind not in _CLOSURE_KINDS:
             mfc.sources.add(node)
             continue
         if kind in _CONST_KINDS:

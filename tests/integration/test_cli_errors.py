@@ -153,3 +153,39 @@ class TestServeArgValidation:
         line = one_clean_error_line(capsys)
         assert line.startswith("error:")
         assert "REPRO_TIER" in line
+
+
+class TestNonTerminatingProgram:
+    """A program that never halts hits the interpreter's step budget;
+    ``run`` and ``check`` report it like a runtime fault: one line on
+    stderr, exit code 2."""
+
+    LOOP = "def main() { var x = 0; while (1) { x = x + 1; } return x; }\n"
+
+    @pytest.fixture
+    def loop_file(self, tmp_path):
+        path = tmp_path / "loop.tc"
+        path.write_text(self.LOOP)
+        return str(path)
+
+    def test_run(self, loop_file, capsys):
+        assert main(["run", loop_file]) == 2
+        line = one_clean_error_line(capsys)
+        assert line.startswith("error:")
+        assert "step limit" in line
+
+    def test_check(self, loop_file, capsys, monkeypatch):
+        # ``check`` runs with a 50M-step budget; a smaller one reaches
+        # the same limit in a fraction of the time.
+        from repro import api
+
+        real = api.run_instrumented
+        monkeypatch.setattr(
+            api,
+            "run_instrumented",
+            lambda module, plan, max_steps: real(module, plan, max_steps=100_000),
+        )
+        assert main(["check", loop_file]) == 2
+        line = one_clean_error_line(capsys)
+        assert line.startswith("error:")
+        assert "step limit" in line
