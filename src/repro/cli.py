@@ -36,6 +36,7 @@ flag group (``--jobs`` / ``--tier`` / ``--demand``), resolved through
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
 import time
 from typing import List, Optional
@@ -521,13 +522,21 @@ def cmd_serve(args: argparse.Namespace) -> int:
     )
     host, port = server.server_address[:2]
     print(f"repro serve listening on http://{host}:{port}", flush=True)
+    # SIGTERM stops the server like Ctrl-C does, so server_close() shuts
+    # down every session's resident pool instead of orphaning its workers.
+    previous = signal.signal(signal.SIGTERM, _interrupt)
     try:
         server.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:
+        signal.signal(signal.SIGTERM, previous)
         server.server_close()
     return 0
+
+
+def _interrupt(signum, frame) -> None:
+    raise KeyboardInterrupt
 
 
 def build_parser() -> argparse.ArgumentParser:

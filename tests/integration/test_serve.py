@@ -10,6 +10,7 @@ hung connection or an HTML traceback).
 
 import os
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -36,10 +37,11 @@ def main() {
 """
 
 
-@pytest.fixture(scope="module")
-def server():
+def start_server(**env_overrides):
+    """Boot ``repro serve --port 0``: ``(process, client)``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src")
+    env.update(env_overrides)
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--port", "0"],
         stdout=subprocess.PIPE,
@@ -47,11 +49,20 @@ def server():
         text=True,
         env=env,
     )
+    banner = proc.stdout.readline().strip()
+    match = re.search(r"http://([\d.]+):(\d+)$", banner)
+    if not match:
+        proc.kill()
+        proc.wait(timeout=10)
+        raise AssertionError(f"no listening banner, got {banner!r}")
+    return proc, ServiceClient(f"http://{match.group(1)}:{match.group(2)}")
+
+
+@pytest.fixture(scope="module")
+def server():
+    proc, client = start_server()
     try:
-        banner = proc.stdout.readline().strip()
-        match = re.search(r"http://([\d.]+):(\d+)$", banner)
-        assert match, f"no listening banner, got {banner!r}"
-        yield ServiceClient(f"http://{match.group(1)}:{match.group(2)}")
+        yield client
     finally:
         proc.terminate()
         proc.wait(timeout=10)
@@ -148,3 +159,46 @@ class TestServeErrors:
         with pytest.raises(ServiceError) as exc:
             server._call("/teapot", {})
         assert exc.value.status == 404
+
+
+def child_pids(pid):
+    """Live processes whose parent is ``pid``, read from ``/proc``."""
+    children = set()
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as stat:
+                fields = stat.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue  # exited while we looked
+        if int(fields[1]) == pid and fields[0] != "Z":
+            children.add(int(entry))
+    return children
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+def test_sigterm_shuts_down_pool_workers():
+    proc, client = start_server(REPRO_JOBS="2")
+    workers = set()
+    try:
+        opened = client.open(
+            source=SOURCE,
+            name="classify",
+            options=AnalysisOptions(demand=True).as_dict(),
+        )
+        client.query_sites(opened["digest"], jobs=2)
+        workers = child_pids(proc.pid)
+        assert workers, "the jobs=2 query started no resident pool"
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=30) == 0
+        assert not {pid for pid in workers if os.path.exists(f"/proc/{pid}")}
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=10)
+        for pid in workers:  # reap what a failed shutdown left behind
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except OSError:
+                pass

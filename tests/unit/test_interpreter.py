@@ -1,17 +1,28 @@
 """Unit tests for the shadow-memory interpreter."""
 
+import copy
+
 import pytest
 
 from repro.core import build_msan_plan
+from repro.core.plan import (
+    RelayOut,
+    SetShadowMem,
+    SetShadowVar,
+    StoreShadow,
+)
+from repro.ir import instructions as ins
 from repro.runtime import (
     DEFAULT_COST_MODEL,
     CostModel,
     Interpreter,
     RuntimeFault,
+    ShadowProtocolError,
     StepLimitExceeded,
     run_instrumented,
     run_native,
 )
+from repro.obs import TRACE
 from repro.tinyc import compile_source
 from tests.helpers import analyzed
 
@@ -133,6 +144,134 @@ class TestLimits:
             run(source)
 
 
+def limit_outcome(run, max_steps):
+    """The exception type ``run(max_steps=...)`` raises, or ``None``."""
+    try:
+        run(max_steps=max_steps)
+    except (StepLimitExceeded, RuntimeFault) as exc:
+        return type(exc)
+    return None
+
+
+class TestStepLimitBoundary:
+    LOOP = """
+    def main() {
+      var i = 0, s = 0;
+      while (i < 20) { s = s + i; i = i + 1; }
+      output(s);
+      return s;
+    }
+    """
+
+    def test_native_limit_is_exact(self):
+        module = compile_source(self.LOOP)
+        steps = run_native(module).steps
+        assert run_native(module, max_steps=steps).steps == steps
+        with pytest.raises(StepLimitExceeded):
+            run_native(module, max_steps=steps - 1)
+
+    def test_instrumented_limit_is_exact(self):
+        prepared = analyzed(self.LOOP)
+        plan = build_msan_plan(prepared.module)
+        report = run_instrumented(prepared.module, plan)
+        assert report.steps > report.native_ops  # shadow ops are steps too
+        again = run_instrumented(prepared.module, plan, max_steps=report.steps)
+        assert again.steps == report.steps
+        with pytest.raises(StepLimitExceeded):
+            run_instrumented(prepared.module, plan, max_steps=report.steps - 1)
+
+    def test_fault_inside_the_budget_is_the_fault(self):
+        # A few loop iterations, then a load through a junk pointer.
+        source = """
+        def main() {
+          var i = 0;
+          while (i < 3) { i = i + 1; }
+          var p = 5;
+          return p[0];
+        }
+        """
+        module = compile_source(source)
+        assert not any(isinstance(i, ins.Phi) for i in module.instructions())
+        # Without φs every step is a traced instruction, the faulting
+        # load last.
+        interp = Interpreter(module)
+        interp.trace_limit = 10_000
+        with pytest.raises(RuntimeFault, match="unmapped address"):
+            interp.run()
+        fault_step = len(interp.trace_log)
+        assert fault_step > 10
+        outcomes = [
+            limit_outcome(lambda **kw: run_native(module, **kw), n)
+            for n in range(1, fault_step + 5)
+        ]
+        assert outcomes == [StepLimitExceeded] * (fault_step - 1) + [RuntimeFault] * 5
+
+
+def dropped(plan, kind, **fields):
+    """A copy of ``plan`` without its first ``kind`` op matching ``fields``."""
+    plan = copy.deepcopy(plan)
+    lists = list(plan.entry_ops.values())
+    for instr_ops in plan.ops.values():
+        lists += [instr_ops.pre, instr_ops.post]
+    for ops in lists:
+        for op in ops:
+            if isinstance(op, kind) and all(
+                getattr(op, k) == v for k, v in fields.items()
+            ):
+                ops.remove(op)
+                return plan
+    raise AssertionError(f"no {kind.__name__} op {fields} in the plan")
+
+
+class TestShadowProtocol:
+    HEAP = """
+    def main() {
+      var p = malloc(2);
+      p[0] = 5;
+      var x = p[0];
+      output(x);
+      return 0;
+    }
+    """
+    CALL = """
+    def f(a) { return a + 1; }
+    def main() { var x = f(3); output(x); return 0; }
+    """
+
+    def test_dropped_set_shadow_var(self):
+        prepared = analyzed(self.HEAP)
+        plan = build_msan_plan(prepared.module)
+        run_instrumented(prepared.module, plan)
+        broken = dropped(plan, SetShadowVar)
+        with pytest.raises(ShadowProtocolError, match="read before any write in main"):
+            run_instrumented(prepared.module, broken)
+
+    def test_dropped_store_shadow(self):
+        # Without the allocation's poisoning, the store is the only
+        # writer of the loaded cell's shadow.
+        prepared = analyzed(self.HEAP)
+        plan = dropped(build_msan_plan(prepared.module), SetShadowMem)
+        assert not run_instrumented(prepared.module, plan).warnings
+        broken = dropped(plan, StoreShadow)
+        with pytest.raises(ShadowProtocolError, match="shadow memory at .* read before"):
+            run_instrumented(prepared.module, broken)
+
+    def test_dropped_relay_out(self):
+        prepared = analyzed(self.CALL)
+        plan = build_msan_plan(prepared.module)
+        run_instrumented(prepared.module, plan)
+        broken = dropped(plan, RelayOut, slot=0)
+        with pytest.raises(ShadowProtocolError, match=r"σ_g\[0\] read before write"):
+            run_instrumented(prepared.module, broken)
+
+    def test_unset_pointer(self):
+        prepared = analyzed(self.HEAP)
+        plan = build_msan_plan(prepared.module)
+        plan.add_entry("main", SetShadowMem(("nowhere", 1), literal=True))
+        with pytest.raises(ShadowProtocolError, match="unset pointer nowhere.1"):
+            run_instrumented(prepared.module, plan)
+
+
 class TestShadowMachine:
     def test_full_instrumentation_matches_oracle(self):
         source = """
@@ -201,3 +340,50 @@ class TestCostModel:
         assert DEFAULT_COST_MODEL.slowdown_percent(
             usher
         ) <= DEFAULT_COST_MODEL.slowdown_percent(msan)
+
+
+class TestInstrumentedTracing:
+    SOURCE = """
+    def main() {
+      var p = malloc(2);
+      var i = 0;
+      while (i < 2) { p[i] = i; i = i + 1; }
+      output(p[1]);
+      return 0;
+    }
+    """
+
+    def _run(self, plan):
+        prepared = self.prepared
+        interp = Interpreter(prepared.module, plan=plan)
+        interp.trace_limit = 9
+        interp.trace_memory = True
+        interp.run()
+        return interp
+
+    def test_trace_log_and_memory_under_a_plan(self):
+        self.prepared = analyzed(self.SOURCE)
+        native = self._run(None)
+        instrumented = self._run(build_msan_plan(self.prepared.module))
+        assert len(instrumented.trace_log) == 9
+        assert all(line.startswith("main: ") for line in instrumented.trace_log)
+        # Shadow operations are steps, not traced instructions.
+        assert instrumented.trace_log == native.trace_log
+        assert instrumented.mem_accesses
+        assert instrumented.mem_accesses == native.mem_accesses
+        origins = set().union(*instrumented.mem_accesses.values())
+        assert {kind for kind, _ in origins} == {"alloc"}
+
+
+class TestRunSpans:
+    def test_runs_record_spans_tagged_with_steps(self):
+        prepared = analyzed("def main() { var x = 1; output(x); return 0; }")
+        plan = build_msan_plan(prepared.module)
+        with TRACE.capture():
+            native = run_native(prepared.module)
+            instrumented = run_instrumented(prepared.module, plan)
+            spans = [(e.name, e.tags) for e in TRACE.events]
+        assert spans == [
+            ("run.native", {"steps": native.steps}),
+            ("run.instrumented", {"plan": plan.name, "steps": instrumented.steps}),
+        ]
