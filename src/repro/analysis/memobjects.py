@@ -52,6 +52,30 @@ class MemObject:
     alloc_uid: Optional[int] = None
     context: Optional[int] = None
 
+    def __post_init__(self) -> None:
+        # Hash once: the value the generated ``__hash__`` would return.
+        object.__setattr__(self, "_hash", hash(self._fields()))
+
+    def _fields(self) -> tuple:
+        return (
+            self.name,
+            self.kind,
+            self.initialized,
+            self.is_array,
+            self.size,
+            self.func,
+            self.alloc_uid,
+            self.context,
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild through the constructor, so the hash is recomputed
+        # under the unpickling process's hash seed.
+        return (MemObject, self._fields())
+
     @property
     def num_fields(self) -> int:
         return 1 if self.is_array else self.size
@@ -74,6 +98,16 @@ class MemLoc:
 
     obj: MemObject
     field: int = 0
+
+    def __post_init__(self) -> None:
+        # Hash once (see MemObject).
+        object.__setattr__(self, "_hash", hash((self.obj, self.field)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (MemLoc, (self.obj, self.field))
 
     def shifted(self, offset: Optional[int]) -> Tuple["MemLoc", ...]:
         """The locations ``offset`` fields further into the object.

@@ -41,7 +41,7 @@ full closure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Set
+from typing import List, Set, Tuple
 
 from repro.ir import instructions as ins
 from repro.ir.module import Module
@@ -112,40 +112,54 @@ def compute_mfc(
     degenerates to its own source, so Opt I falls back to the exact
     per-statement rule.
     """
-    by_uid = module.instr_by_uid()
-    mfc = MFC(sink)
-    if grouping:
-        sink_uid, sink_kind = vfg.def_site.get(sink, (None, "unknown"))
-        if _preserves_mask(by_uid, sink_uid, sink_kind):
-            mfc.nodes.add(sink)
-            mfc.sources.add(sink)
-            return mfc
-    work: List[Node] = [sink]
+    sink_id = vfg.node_id(sink)
+    if sink_id is None:
+        # No edge touches the sink: nothing flows into it.
+        return MFC(sink, {sink}, {sink})
+    nodes, sources = closure_ids(vfg, module.instr_by_uid(), sink_id, grouping)
+    table = vfg.node_table()
+    return MFC(sink, {table[i] for i in nodes}, {table[i] for i in sources})
+
+
+def closure_ids(
+    vfg: VFG, by_uid, sink: int, grouping: bool = False
+) -> Tuple[Set[int], Set[int]]:
+    """:func:`compute_mfc` on node ids: the closure's ``(nodes,
+    sources)`` id sets for the sink with id ``sink``."""
+    uids, kinds = vfg.def_columns()
+    if grouping and _preserves_mask(by_uid, uids[sink], kinds[sink]):
+        return {sink}, {sink}
+    table = vfg.node_table()
+    top = vfg.node_id(TOP)
+    nodes: Set[int] = set()
+    sources: Set[int] = set()
+    work: List[int] = [sink]
     while work:
-        node = work.pop()
-        if node in mfc.nodes:
+        nid = work.pop()
+        if nid in nodes:
             continue
-        mfc.nodes.add(node)
+        nodes.add(nid)
+        node = table[nid]
         if isinstance(node, Root):
-            mfc.sources.add(node)
+            sources.add(nid)
             continue
-        uid, kind = vfg.def_site.get(node, (None, "unknown"))
+        kind = kinds[nid]
         if not isinstance(node, TopNode) or kind not in _CLOSURE_KINDS:
-            mfc.sources.add(node)
+            sources.add(nid)
             continue
         if kind in _CONST_KINDS:
-            mfc.sources.add(TOP)
-            mfc.nodes.add(TOP)
+            sources.add(top)
+            nodes.add(top)
             continue
-        if kind == "binop" and uid is not None:
-            instr = by_uid.get(uid)
+        if kind == "binop" and uids[nid] is not None:
+            instr = by_uid.get(uids[nid])
             if isinstance(instr, ins.BinOp) and instr.op in _BITWISE_OPS:
-                mfc.sources.add(node)
+                sources.add(nid)
                 continue
-        preds = vfg.deps_of(node)
+        preds = vfg.rows_into(nid)
         if not preds:
-            mfc.sources.add(node)
+            sources.add(nid)
             continue
-        for edge in preds:
-            work.append(edge.src)
-    return mfc
+        for row in preds:
+            work.append(row[0])
+    return nodes, sources
