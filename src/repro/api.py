@@ -60,6 +60,10 @@ CONFIG_ORDER = ("msan", "usher_tl", "usher_tl_at", "usher_opt1", "usher")
 #: CONFIG_ORDER plus the beyond-paper extension configuration.
 EXTENDED_CONFIG_ORDER = CONFIG_ORDER + ("usher_ext",)
 
+#: The step budget of an analyzed program's runs, and of every run the
+#: ``repro run`` and ``repro check`` commands make.
+MAX_STEPS = 50_000_000
+
 #: Something identifying a check site: the site itself, its VFG node,
 #: or the uid of the critical instruction.
 Site = Union[CheckSite, Node, int]
@@ -79,7 +83,7 @@ class Analysis:
     _runs: Dict[str, ExecutionReport] = field(default_factory=dict)
     _native: Optional[ExecutionReport] = None
     _engines: Dict[str, DemandEngine] = field(default_factory=dict)
-    max_steps: int = 50_000_000
+    max_steps: int = MAX_STEPS
 
     def run_native(self) -> ExecutionReport:
         if self._native is None:

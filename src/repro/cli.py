@@ -41,7 +41,7 @@ import sys
 import time
 from typing import List, Optional
 
-from repro.api import CONFIG_ORDER, analyze
+from repro.api import CONFIG_ORDER, MAX_STEPS, analyze
 from repro.ir import module_to_str, verify_module
 from repro.opt import OPT_LEVELS, run_pipeline
 from repro.options import (
@@ -169,6 +169,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             for op in plan.ops[uid].pre + plan.ops[uid].post:
                 print(f"  at `{by_uid[uid]}`: {op}")
         print()
+    analysis.max_steps = MAX_STEPS
     try:
         report = analysis.run(args.config)
     except RuntimeFault as fault:
@@ -235,15 +236,18 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     module = compile_source(_read(args.file), args.file)
     run_pipeline(module, args.level)
-    interp = Interpreter(module)
+    interp = Interpreter(module, max_steps=MAX_STEPS)
     interp.trace_limit = args.trace
     try:
-        report = interp.run()
+        try:
+            report = interp.run()
+        finally:
+            # A failed run's trace leads up to its fault or step limit.
+            for line in interp.trace_log:
+                print(f"trace: {line}")
     except RuntimeFault as fault:
         print(f"runtime fault: {fault}", file=sys.stderr)
         return 2
-    for line in interp.trace_log:
-        print(f"trace: {line}")
     for value in report.outputs:
         print(value)
     return report.exit_value or 0

@@ -168,7 +168,12 @@ class TestNonTerminatingProgram:
         path.write_text(self.LOOP)
         return str(path)
 
-    def test_run(self, loop_file, capsys):
+    def test_run(self, loop_file, capsys, monkeypatch):
+        # Like ``check``, ``run`` has a 50M-step budget; a smaller one
+        # reaches the same limit in a fraction of the time.
+        from repro import cli
+
+        monkeypatch.setattr(cli, "MAX_STEPS", 100_000)
         assert main(["run", loop_file]) == 2
         line = one_clean_error_line(capsys)
         assert line.startswith("error:")
