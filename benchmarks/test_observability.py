@@ -31,6 +31,7 @@ from pathlib import Path
 from repro.api import analyze
 from repro.obs.registry import write_stats_row
 from repro.obs.trace import TRACE, validate_chrome_trace
+from repro.options import AnalysisOptions
 from repro.workloads import GeneratorParams, generate_program
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -57,7 +58,9 @@ def heavy_source() -> str:
 
 
 def run_heavy(source: str):
-    return analyze(source=source, name=f"gen{SEED}", demand=True)
+    return analyze(
+        source=source, name=f"gen{SEED}", options=AnalysisOptions(demand=True)
+    )
 
 
 class TestDisabledOverhead:
@@ -85,7 +88,7 @@ class TestDisabledOverhead:
         calls = 10_000
         per_call = (
             timeit.timeit(
-                lambda: TRACE.span("bench", tier="full"),
+                lambda: TRACE.span("bench", config="usher"),
                 number=calls,
             )
             / calls

@@ -24,14 +24,6 @@ from repro.analysis.memobjects import (
     PVar,
 )
 from repro.analysis.modref import ModRefResult
-from repro.analysis.tiers import (
-    TIERS,
-    InvalidTierError,
-    default_tier,
-    parse_tier,
-    resolve_tier,
-)
-from repro.analysis.unify import presolve_unify
 
 __all__ = [
     "DeltaSolver",
@@ -48,10 +40,4 @@ __all__ = [
     "MemObject",
     "PVar",
     "ModRefResult",
-    "TIERS",
-    "InvalidTierError",
-    "default_tier",
-    "parse_tier",
-    "resolve_tier",
-    "presolve_unify",
 ]

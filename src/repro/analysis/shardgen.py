@@ -1,38 +1,24 @@
-"""Process-parallel constraint generation for the Andersen solvers.
+"""Per-function constraint tapes for the Andersen solver.
 
 The constraint generator walks every function (plus any allocation-
 wrapper clones its call sites instantiate) and emits pts / copy / load /
-store / gep / icall constraints.  That walk is embarrassingly parallel
-across functions — the only shared state is the symbol interner and the
-solver's constraint store — so with ``jobs > 1`` it is sharded:
+store / gep / icall constraints.  :class:`repro.service.session.
+AnalysisSession` caches that walk per function so an edit regenerates
+only the dirty functions:
 
-1. The module's functions are split into **contiguous** chunks in
-   module order (:func:`repro.analysis.parallel.chunk_evenly`).
-2. Each worker process runs a :class:`_ShardCollector` — the real
-   generator (``_SolverBase._gen_function``, including nested wrapper
-   clone instantiation) with the constraint hooks swapped for recorders
-   — and returns a :class:`ShardResult`: a per-shard symbol table (its
-   own interning, local ids) plus a flat ``int64`` word arena over
-   those ids.  Generation *streams* into the arena: each hook appends
-   its op's words directly, so no per-function tuple lists are ever
-   materialized — the tape's peak memory is its final size, and the
-   same buffer ships verbatim through ``multiprocessing.shared_memory``
-   (:class:`repro.service.pool.FlatTape`) without an encode step.
-3. The parent replays the word streams **in shard order** through the
-   solver's id-level constraint hooks, remapping each shard-local
-   symbol to a dense solver id once (``DeltaSolver._replay_shard``).
-   Because the chunks are contiguous and each arena is in generation
-   order, the replayed constraint stream is exactly the serial
-   generator's stream, so the post-merge solver state — and therefore
-   every downstream result — is bit-identical to ``jobs=1``.
-
-Workers inherit the module / wrappers / recursive-set snapshot through
-``fork`` copy-on-write (nothing is pickled on the way in); only the
-compact :class:`ShardResult` arenas are pickled on the way back, which
-is what keeps the shard round-trip cheaper than the generation it
-replaces.  When ``fork`` is unavailable (or a pool cannot be created),
-:func:`generate_shards` returns ``None`` and the caller falls back to
-the serial loop.
+1. A :class:`_ShardCollector` — the real generator
+   (``_SolverBase._gen_function``, including nested wrapper clone
+   instantiation) with the constraint hooks swapped for recorders —
+   runs over one function and returns a :class:`ShardResult`: a
+   tape-local symbol table plus a flat ``int64`` word arena over those
+   ids.  Each hook appends its op's words directly, so no per-function
+   tuple lists are ever materialized.
+2. The solver replays the tapes in module order through its id-level
+   constraint hooks, remapping each tape-local symbol to a dense solver
+   id once (``DeltaSolver._replay_shard``).  Replayed in module order,
+   the tapes reproduce exactly the serial generator's constraint
+   stream, so the solver state — and therefore every downstream
+   result — is bit-identical to a cold analysis.
 
 Word encoding (one op = one run of ``int64`` words, tags from
 :mod:`repro.analysis.andersen`):
@@ -60,10 +46,8 @@ from typing import (
 )
 
 from repro.analysis.memobjects import MemLoc, MemObject
-from repro.analysis.parallel import chunk_evenly, fork_available, fork_pool
 from repro.analysis.solverstats import SolverStats
 from repro.ir.module import Module
-from repro.obs.trace import TRACE
 
 #: ``None`` GEP-offset sentinel — far outside any field index.
 GEP_NONE = -(2**62)
@@ -103,8 +87,7 @@ def iter_ops(words: Sequence[int]) -> Iterator[tuple]:
 
     Raises :class:`ValueError` on a truncated buffer — an op whose
     encoding runs past the end of ``words`` — or an unknown tag, so a
-    corrupt shared-memory transfer fails loudly instead of replaying a
-    prefix.
+    corrupt tape fails loudly instead of replaying a prefix.
     """
     from repro.analysis.andersen import (
         OP_COPY,
@@ -156,50 +139,46 @@ def decode_words(words: Sequence[int]) -> List[tuple]:
 
 @dataclass
 class ShardResult:
-    """One worker's contribution: a symbol table, a flat word arena
-    over it, and the generation side-tables the parent must merge."""
+    """One function's constraint tape: a symbol table, a flat word
+    arena over it, and the generation side-tables the solver merges."""
 
-    #: shard-local id -> symbol (PVar or MemLoc, in first-use order)
+    #: tape-local id -> symbol (PVar or MemLoc, in first-use order)
     syms: List[object] = field(default_factory=list)
     #: the op tape as a flat ``int64`` word arena (see the module
     #: docstring for the encoding); appended to directly during
-    #: generation and shipped verbatim over shared memory
+    #: generation
     words: "array" = field(default_factory=lambda: array("q"))
     #: call uid -> direct-call targets seen during generation
     call_targets: Dict[int, Set[str]] = field(default_factory=dict)
     #: clone namespace -> base function name
     clone_base: Dict[str, str] = field(default_factory=dict)
-    #: (wrapper, callsite uid) clones this shard instantiated
+    #: (wrapper, callsite uid) clones this tape instantiated
     instantiated: Set[Tuple[str, int]] = field(default_factory=set)
     #: alloc uid -> objects, in generation order
     alloc_objects: Dict[int, List[MemObject]] = field(default_factory=dict)
-    #: finished worker spans (``Tracer.export_spans`` tuples) when the
-    #: parent had tracing on at fork time; stitched back with
-    #: ``TRACE.adopt`` so the trace shows one track per worker pid
-    spans: List[tuple] = field(default_factory=list)
 
     @property
     def ops(self) -> List[tuple]:
-        """The tape decoded to op tuples — a compatibility view for
-        non-hot consumers (normalized-tape comparison, the reference
-        solver's object-level replay); the solvers walk ``words``."""
+        """The tape decoded to op tuples — a view for non-hot consumers
+        (normalized-tape comparison); the solver walks ``words``."""
         return decode_words(self.words)
 
 
 def _collector_class():
-    # Deferred: andersen imports this module lazily (inside _seed) and
-    # importing it here at top level would be circular.
+    # Deferred: andersen imports this module lazily (inside
+    # _replay_shard) and importing it here at top level would be
+    # circular.
     from repro.analysis import andersen
 
     class _ShardCollector(andersen._SolverBase):
         """The constraint generator with recording hooks.
 
         Runs ``_gen_function`` (and everything it pulls in — wrapper
-        clone instantiation, direct-call binding) for one contiguous
-        chunk of functions, interning symbols shard-locally and
-        streaming each emitted constraint's words straight into the
-        shard arena.  It never solves; its only products are the arena
-        and the side-tables.
+        clone instantiation, direct-call binding) for the named
+        functions, interning symbols tape-locally and streaming each
+        emitted constraint's words straight into the tape arena.  It
+        never solves; its only products are the arena and the
+        side-tables.
         """
 
         kind = "shard"
@@ -283,59 +262,3 @@ def _collector_class():
             words.append(-1 if dst_node is None else self._sid(dst_node))
 
     return _ShardCollector
-
-
-#: Fork-inherited work description: (module, wrappers, recursive).
-#: Set in the parent immediately before the pool forks; workers read it
-#: from their copy-on-write heap instead of unpickling the module.
-_WORK: Optional[Tuple[Module, FrozenSet[str], Set[str]]] = None
-
-
-def _collect_chunk(names: List[str]) -> ShardResult:
-    """Worker entry point: generate one chunk's constraint tape."""
-    assert _WORK is not None, "shard worker started without fork context"
-    module, wrappers, recursive = _WORK
-    if TRACE.enabled:
-        # The fork copied the parent's event list; drop it so the
-        # worker exports only its own spans for the parent to adopt.
-        TRACE.clear()
-        with TRACE.span("shard.collect", functions=len(names)):
-            collector = _collector_class()(module, wrappers, recursive, names)
-        collector.result_shard.spans = TRACE.export_spans()
-        return collector.result_shard
-    collector = _collector_class()(module, wrappers, recursive, names)
-    return collector.result_shard
-
-
-def generate_shards(
-    module: Module,
-    wrappers: FrozenSet[str],
-    recursive: Set[str],
-    jobs: int,
-) -> Optional[List[ShardResult]]:
-    """Shard constraint generation across ``jobs`` worker processes.
-
-    Returns the shard results in module order, or ``None`` when
-    parallel generation is unavailable (no ``fork``, a pool cannot be
-    created, or there is nothing to split) — callers then run the
-    serial generator.  Worker *failures* are not swallowed: a bug in
-    the collector must surface, not silently degrade to serial.
-    """
-    if jobs < 2 or not fork_available():
-        return None
-    chunks = chunk_evenly(list(module.functions), jobs)
-    if len(chunks) < 2:
-        return None
-    global _WORK
-    _WORK = (module, wrappers, set(recursive))
-    try:
-        try:
-            pool = fork_pool(len(chunks))
-        except (OSError, AssertionError):
-            # Can't fork here (resource limits, daemonic process, ...):
-            # degrade to serial generation.
-            return None
-        with pool:
-            return pool.map(_collect_chunk, chunks)
-    finally:
-        _WORK = None

@@ -14,22 +14,21 @@ TinyC ``source`` or a compiled ``module``)::
     analysis.explain(uid)        # how F reaches it, step by step
     analysis.query_stats()       # what the queries actually visited
 
-All knobs can be passed as one :class:`repro.options.AnalysisOptions`
-record (``analyze(options=...)``); the individual keyword arguments
-remain as a deprecated compatibility surface and lose to a set options
-field.  For a long-lived, incrementally re-analyzed program, see
+Definedness options (demand-driven Γ, resolver, context depth, a
+single configuration) are passed as one
+:class:`repro.options.AnalysisOptions` record (``analyze(options=...)``).
+For a long-lived, incrementally re-analyzed program, see
 :class:`repro.service.session.AnalysisSession` and ``repro serve``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from repro.ir.module import Module
 from repro.ir.verifier import verify_module
 from repro.analysis.solverstats import QueryStats
-from repro.analysis.tiers import resolve_tier
 from repro.core import (
     InstrumentationPlan,
     PreparedModule,
@@ -200,72 +199,6 @@ class Analysis:
         return self._engines[picked].stats
 
 
-class LazyAnalysis(Analysis):
-    """The ``analyze(tier="lazy")`` result: a fully deferred
-    :class:`Analysis`.
-
-    Nothing beyond compilation runs at construction — optimization,
-    pointer analysis (itself lazy-tier), VFG building and plan
-    construction all wait inside a thunk.  The first attribute access
-    (a ``query()``, a ``run()``, reading ``plans``) forces the eager
-    pipeline once; every later access delegates to the forced result,
-    so verdicts, plans and stats are bit-identical to the eager path.
-    """
-
-    def __init__(self, thunk: "Callable[[], Analysis]") -> None:
-        # Deliberately not calling the dataclass __init__: this instance
-        # holds only the thunk; every field lives on the forced inner
-        # analysis and is reached through __getattr__ / the properties.
-        self._thunk = thunk
-        self._inner: Optional[Analysis] = None
-
-    @property
-    def forced(self) -> bool:
-        """Whether the deferred pipeline has run yet."""
-        return self._inner is not None
-
-    def _force(self) -> Analysis:
-        if self._inner is None:
-            self._inner = self._thunk()
-        return self._inner
-
-    def __getattr__(self, name: str):
-        if name in ("_thunk", "_inner"):
-            raise AttributeError(name)
-        return getattr(self._force(), name)
-
-    def __repr__(self) -> str:
-        # The dataclass __repr__ inherited from Analysis reads every
-        # field and would force the whole deferred pipeline from a bare
-        # ``repr()`` (or a REPL echo); report the deferral state instead.
-        if self._inner is None:
-            return "<LazyAnalysis (deferred; no attribute access yet)>"
-        return (
-            f"<LazyAnalysis forced over {len(self._inner.plans)} plan(s): "
-            f"{', '.join(sorted(self._inner.plans))}>"
-        )
-
-    def __dir__(self):
-        # Tab-completion must not run the pipeline either: the class
-        # (and, once forced, the inner instance) already names every
-        # reachable attribute without touching the thunk.
-        names = set(dir(type(self)))
-        names.update(self.__dict__)
-        if self._inner is not None:
-            names.update(dir(self._inner))
-        return sorted(names)
-
-    # Dataclass fields with plain defaults remain class attributes on
-    # Analysis and would shadow __getattr__; route them to the inner
-    # analysis explicitly.
-    context_depth = property(lambda self: self._force().context_depth)
-    resolver = property(lambda self: self._force().resolver)
-    max_steps = property(
-        lambda self: self._force().max_steps,
-        lambda self, value: setattr(self._force(), "max_steps", value),
-    )
-
-
 def analyze(
     *,
     source: Optional[str] = None,
@@ -274,13 +207,8 @@ def analyze(
     level: str = "O0+IM",
     configs: Optional[Sequence[str]] = None,
     heap_cloning: bool = True,
-    context_depth: int = 1,
     semi_strong: bool = True,
-    resolver: str = "callstring",
-    demand: bool = False,
     use_reference_solver: bool = False,
-    jobs: Optional[int] = None,
-    tier: Optional[str] = None,
     options: Optional[AnalysisOptions] = None,
 ) -> Analysis:
     """Optimize, analyze and instrument a program under every config.
@@ -289,115 +217,70 @@ def analyze(
     ``module`` (an already-compiled IR module) must be given.  All
     arguments are keyword-only.
 
-    ``options`` is the consolidated knob record
-    (:class:`repro.options.AnalysisOptions`): any field set on it wins
-    over the corresponding keyword argument below.  The individual
-    keywords (``jobs=``, ``tier=``, ``demand=``, ``resolver=``,
-    ``context_depth=``) remain as a deprecated one-release
-    compatibility surface.
-
-    ``demand=True`` resolves Γ demand-driven (backward slicing per
-    node, :mod:`repro.vfg.demand`) in every configuration, including
-    Opt II's re-resolution — bit-identical plans, different cost
-    profile.  :meth:`Analysis.query` / :meth:`Analysis.explain` are
-    demand-driven regardless of this flag.
-
-    ``jobs`` is the single parallelism knob: with ``jobs > 1``,
-    constraint generation is sharded across worker processes and
-    (with ``demand=True``) batched definedness queries fan out too.
-    ``None`` defers to the session default / the ``REPRO_JOBS``
-    environment variable, with a workload-size floor below which the
-    phase stays serial; 1 is strictly serial.  Every result is
-    bit-identical regardless of ``jobs`` — it only buys wall-clock.
-
-    ``tier`` picks the solving tier (``None`` defers to the session
-    default / ``REPRO_TIER``): ``"full"`` solves eagerly, ``"unified"``
-    runs the Steensgaard-style pre-collapse first, and ``"lazy"``
-    defers the *entire* static pipeline — a :class:`LazyAnalysis` comes
-    back immediately and the first query / attribute access forces it
-    (``demand=True`` is implied so Γ itself resolves by backward
-    slicing).  Results are bit-identical across tiers.
+    ``options`` (:class:`repro.options.AnalysisOptions`) sets the
+    definedness options of every configuration: ``demand=True``
+    resolves Γ demand-driven (backward slicing per node,
+    :mod:`repro.vfg.demand`), including Opt II's re-resolution —
+    bit-identical plans, different cost profile; ``resolver`` and
+    ``context_depth`` pick the context-matching discipline; ``config``
+    analyzes that one configuration when ``configs`` is not given.
+    :meth:`Analysis.query` / :meth:`Analysis.explain` are demand-driven
+    regardless of ``demand``.
     """
     if (source is None) == (module is None):
         raise ValueError("pass exactly one of source= or module=")
-    schedule: Optional[str] = None
-    storage: Optional[str] = None
-    if options is not None:
-        resolved = options.or_keywords(
-            jobs=jobs,
-            tier=tier,
-            demand=demand,
-            resolver=resolver,
-            context_depth=context_depth,
-        )
-        jobs = resolved["jobs"]
-        tier = resolved["tier"]
-        demand = resolved["demand"]
-        resolver = resolved["resolver"]
-        context_depth = resolved["context_depth"]
-        schedule = options.schedule
-        storage = options.storage
-        if configs is None and options.config is not None:
-            configs = [options.config]
-    tier = resolve_tier(tier)
-    if tier == "lazy":
-        demand = True
+    opts = options if options is not None else AnalysisOptions()
+    demand = bool(opts.demand)
+    resolver = opts.resolver or "callstring"
+    context_depth = 1 if opts.context_depth is None else opts.context_depth
+    if configs is None and opts.config is not None:
+        configs = [opts.config]
     if module is None:
         with TRACE.span("parse", module=name):
             module = compile_source(source, name)
 
-    def build() -> Analysis:
-        with TRACE.span("analyze", level=level, tier=tier):
-            with TRACE.span("opt_pipeline", level=level):
-                run_pipeline(module, level)
-            with TRACE.span("verify"):
-                verify_module(module)
-            prepared = prepare_module(
-                module,
-                heap_cloning=heap_cloning,
-                use_reference_solver=use_reference_solver,
-                jobs=jobs,
-                tier=tier,
-                schedule=schedule,
-                storage=storage,
-            )
-            wanted = list(configs) if configs else list(CONFIG_ORDER)
-            plans: Dict[str, InstrumentationPlan] = {}
-            results: Dict[str, UsherResult] = {}
-            base_configs = {
-                "usher_tl": UsherConfig.tl(),
-                "usher_tl_at": UsherConfig.tl_at(),
-                "usher_opt1": UsherConfig.opt_i(),
-                "usher": UsherConfig.full(),
-                "usher_ext": UsherConfig.extended(),
-            }
-            for config_name in wanted:
-                if config_name == "msan":
-                    with TRACE.span("config", config="msan"):
-                        plans[config_name] = run_msan(prepared)
-                    continue
-                config = replace(
-                    base_configs[config_name],
-                    semi_strong=semi_strong,
-                    context_depth=context_depth,
-                    resolver=resolver,
-                    demand=demand,
-                    jobs=jobs,
-                )
-                with TRACE.span("config", config=config_name):
-                    result = run_usher(prepared, config)
-                results[config_name] = result
-                plans[config_name] = result.plan
-        return Analysis(
+    with TRACE.span("analyze", level=level):
+        with TRACE.span("opt_pipeline", level=level):
+            run_pipeline(module, level)
+        with TRACE.span("verify"):
+            verify_module(module)
+        prepared = prepare_module(
             module,
-            prepared,
-            plans,
-            results,
-            level,
-            context_depth=context_depth,
-            resolver=resolver,
+            heap_cloning=heap_cloning,
+            use_reference_solver=use_reference_solver,
         )
-
-    if tier == "lazy":
-        return LazyAnalysis(build)
-    return build()
+        wanted = list(configs) if configs else list(CONFIG_ORDER)
+        plans: Dict[str, InstrumentationPlan] = {}
+        results: Dict[str, UsherResult] = {}
+        base_configs = {
+            "usher_tl": UsherConfig.tl(),
+            "usher_tl_at": UsherConfig.tl_at(),
+            "usher_opt1": UsherConfig.opt_i(),
+            "usher": UsherConfig.full(),
+            "usher_ext": UsherConfig.extended(),
+        }
+        for config_name in wanted:
+            if config_name == "msan":
+                with TRACE.span("config", config="msan"):
+                    plans[config_name] = run_msan(prepared)
+                continue
+            config = replace(
+                base_configs[config_name],
+                semi_strong=semi_strong,
+                context_depth=context_depth,
+                resolver=resolver,
+                demand=demand,
+            )
+            with TRACE.span("config", config=config_name):
+                result = run_usher(prepared, config)
+            results[config_name] = result
+            plans[config_name] = result.plan
+    return Analysis(
+        module,
+        prepared,
+        plans,
+        results,
+        level,
+        context_depth=context_depth,
+        resolver=resolver,
+    )

@@ -1,7 +1,6 @@
 """The declarative bench matrix: axes in, cells out.
 
-A :class:`MatrixSpec` names the six axes — workloads, configurations,
-solving tiers, points-to storages, worklist schedules, worker counts —
+A :class:`MatrixSpec` names two axes — workloads and configurations —
 plus one scale factor, and :meth:`MatrixSpec.expand` takes the cross
 product into an ordered, deduplicated list of :class:`Cell` records.
 Everything here is pure data: no workload is rendered and no analysis
@@ -9,9 +8,8 @@ runs until the scheduler executes a cell, so a 500-cell matrix can be
 validated, named and diffed for free.
 
 Axis values are validated at construction (:class:`BenchSpecError`
-with a one-line message), the same boundary discipline as
-:class:`repro.options.AnalysisOptions`: a typo'd tier must fail where
-it was written, not 40 cells into a run.
+with a one-line message): a typo'd config must fail where it was
+written, not 40 cells into a run.
 """
 
 from __future__ import annotations
@@ -19,10 +17,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
-
-from repro.analysis.bitsets import STORAGES
-from repro.analysis.tiers import TIERS
-from repro.options import SCHEDULES
 
 #: Differ-style config spec -> ``analyze()`` configuration name.
 SPEC_TO_CONFIG = {
@@ -40,8 +34,15 @@ CONFIG_SPECS = tuple(SPEC_TO_CONFIG)
 #: The default configuration axis: the paper's four Usher columns.
 DEFAULT_CONFIGS = ("tl", "tl_at", "opt_i", "full")
 
-#: The default tier axis: eager solving and the Steensgaard pre-pass.
-DEFAULT_TIERS = ("full", "unified")
+#: The solver setup every cell runs under, kept in cell names and rows
+#: so baselines recorded when the solver had alternatives still match:
+#: eager solving, int bitsets, wave scheduling, serial.
+SOLVER_SETUP = {
+    "tier": "full",
+    "storage": "int",
+    "schedule": "wave",
+    "jobs": 1,
+}
 
 
 class BenchSpecError(ValueError):
@@ -50,28 +51,26 @@ class BenchSpecError(ValueError):
 
 @dataclass(frozen=True)
 class Cell:
-    """One point of the matrix: a workload under one exact setup.
+    """One point of the matrix: a workload under one configuration.
 
     The :attr:`name` — ``164.gzip/tl/full/int/wave/j1`` — is the stable
-    identity baselines and reports key on; ``scale`` deliberately stays
-    out of it (a run has one scale, recorded per row) so baselines
-    survive scale-for-speed changes being caught *explicitly* by the
-    diff, not silently by cells failing to match.
+    identity baselines and reports key on; its tail is the fixed
+    :data:`SOLVER_SETUP`.  ``scale`` deliberately stays out of it (a run
+    has one scale, recorded per row) so baselines survive
+    scale-for-speed changes being caught *explicitly* by the diff, not
+    silently by cells failing to match.
     """
 
     workload: str
     config: str
-    tier: str
-    storage: str
-    schedule: str
-    jobs: int
     scale: float
 
     @property
     def name(self) -> str:
+        setup = SOLVER_SETUP
         return (
-            f"{self.workload}/{self.config}/{self.tier}/"
-            f"{self.storage}/{self.schedule}/j{self.jobs}"
+            f"{self.workload}/{self.config}/{setup['tier']}/"
+            f"{setup['storage']}/{setup['schedule']}/j{setup['jobs']}"
         )
 
     @property
@@ -85,10 +84,7 @@ class Cell:
             "cell": self.name,
             "workload": self.workload,
             "config": self.config,
-            "tier": self.tier,
-            "storage": self.storage,
-            "schedule": self.schedule,
-            "jobs": self.jobs,
+            **SOLVER_SETUP,
             "scale": self.scale,
         }
 
@@ -106,46 +102,26 @@ def _check_axis(name: str, values: Sequence, allowed: Sequence) -> None:
 
 @dataclass(frozen=True)
 class MatrixSpec:
-    """The declarative matrix: six axes and a scale.
+    """The declarative matrix: workloads, configurations and a scale.
 
     Workload names are carried opaquely — the scheduler resolves them
     against the workload registry and the corpus at execution time —
-    but every other axis validates eagerly against the pipeline's
-    accepted values.
+    but configurations validate eagerly.
     """
 
     workloads: Tuple[str, ...]
     configs: Tuple[str, ...] = DEFAULT_CONFIGS
-    tiers: Tuple[str, ...] = DEFAULT_TIERS
-    storages: Tuple[str, ...] = ("int",)
-    schedules: Tuple[str, ...] = ("wave",)
-    jobs: Tuple[int, ...] = (1,)
     scale: float = 1.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "workloads", tuple(self.workloads))
         object.__setattr__(self, "configs", tuple(self.configs))
-        object.__setattr__(self, "tiers", tuple(self.tiers))
-        object.__setattr__(self, "storages", tuple(self.storages))
-        object.__setattr__(self, "schedules", tuple(self.schedules))
-        object.__setattr__(self, "jobs", tuple(self.jobs))
         if not self.workloads:
             raise BenchSpecError("empty workloads axis")
         for name in self.workloads:
             if not name or not isinstance(name, str):
                 raise BenchSpecError(f"invalid workload name {name!r}")
         _check_axis("config", self.configs, CONFIG_SPECS)
-        _check_axis("tier", self.tiers, TIERS)
-        _check_axis("storage", self.storages, STORAGES)
-        _check_axis("schedule", self.schedules, SCHEDULES)
-        if not self.jobs:
-            raise BenchSpecError("empty jobs axis")
-        for count in self.jobs:
-            if not isinstance(count, int) or count < 1:
-                raise BenchSpecError(
-                    f"jobs axis values must be positive integers, "
-                    f"got {count!r}"
-                )
         if not (isinstance(self.scale, (int, float)) and self.scale > 0):
             raise BenchSpecError(f"scale must be positive, got {self.scale!r}")
 
@@ -159,15 +135,10 @@ class MatrixSpec:
         """
         cells: List[Cell] = []
         seen = set()
-        for combo in itertools.product(
-            self.workloads,
-            self.configs,
-            self.tiers,
-            self.storages,
-            self.schedules,
-            self.jobs,
+        for workload, config in itertools.product(
+            self.workloads, self.configs
         ):
-            cell = Cell(*combo, scale=self.scale)
+            cell = Cell(workload, config, scale=self.scale)
             if cell.name not in seen:
                 seen.add(cell.name)
                 cells.append(cell)
@@ -178,26 +149,12 @@ class MatrixSpec:
         cls,
         workloads: Sequence[str],
         configs: str = ",".join(DEFAULT_CONFIGS),
-        tiers: str = ",".join(DEFAULT_TIERS),
-        storages: str = "int",
-        schedules: str = "wave",
-        jobs: str = "1",
         scale: float = 1.0,
     ) -> "MatrixSpec":
         """Build a spec from the CLI's comma-separated axis strings."""
-        try:
-            jobs_axis = tuple(int(j) for j in _split(jobs, "jobs"))
-        except ValueError:
-            raise BenchSpecError(
-                f"jobs axis must be a comma list of integers, got {jobs!r}"
-            ) from None
         return cls(
             workloads=tuple(workloads),
             configs=_split(configs, "configs"),
-            tiers=_split(tiers, "tiers"),
-            storages=_split(storages, "storages"),
-            schedules=_split(schedules, "schedules"),
-            jobs=jobs_axis,
             scale=scale,
         )
 
@@ -214,7 +171,7 @@ __all__ = [
     "CONFIG_SPECS",
     "Cell",
     "DEFAULT_CONFIGS",
-    "DEFAULT_TIERS",
     "MatrixSpec",
+    "SOLVER_SETUP",
     "SPEC_TO_CONFIG",
 ]

@@ -6,14 +6,12 @@ Three tables over one run's rows:
   and propagation counts under each configuration;
 - **modelled slowdown** (Figure-10/11-style): per workload, the cost
   model's slowdown percentage under each configuration;
-- **analysis wall-clock by tier**: mean per-cell seconds for each
-  (configuration, tier) pair — the axis the tiered-solving work
-  exists to move.
+- **cell wall-clock**: mean per-cell seconds for each configuration,
+  shown when some (workload, config) pair ran more than once.
 
-Detection results are bit-identical across tiers / storages /
-schedules / jobs (the differential suite's contract), so the first
-two tables collapse those axes and take each (workload, config)'s
-first row; the wall-clock table is where the collapsed axes show up.
+Detection results are bit-identical run to run, so the first two
+tables take each (workload, config)'s first row; repeated runs show
+up only in the wall-clock table.
 """
 
 from __future__ import annotations
@@ -87,25 +85,13 @@ def format_bench_report(rows: List[Dict]) -> str:
             body.append(cells)
         lines += _table(["workload"] + list(configs), body) + [""]
 
-        tiers = sorted({row["tier"] for row in ok})
-        if len(tiers) > 1 or len(ok) > len(first):
-            lines += ["## Mean cell wall-clock by tier (s)", ""]
+        if len(ok) > len(first):
+            lines += ["## Mean cell wall-clock (s)", ""]
             body = []
             for spec in configs:
-                cells = [spec]
-                for tier in tiers:
-                    sample = [
-                        row["elapsed"]
-                        for row in ok
-                        if row["config"] == spec and row["tier"] == tier
-                    ]
-                    cells.append(
-                        f"{sum(sample) / len(sample):.3f}"
-                        if sample
-                        else "—"
-                    )
-                body.append(cells)
-            lines += _table(["config"] + tiers, body) + [""]
+                sample = [row["elapsed"] for row in ok if row["config"] == spec]
+                body.append([spec, f"{sum(sample) / len(sample):.3f}"])
+            lines += _table(["config", "seconds"], body) + [""]
     if errors:
         lines += ["## Errors", ""]
         lines += [

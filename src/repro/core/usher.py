@@ -46,7 +46,7 @@ def resolve_for_config(vfg: VFG, config: "UsherConfig") -> Definedness:
         raise ValueError(f"unknown resolver {config.resolver!r}")
     if config.demand:
         return resolve_definedness_demand(
-            vfg, config.context_depth, resolver=config.resolver, jobs=config.jobs
+            vfg, config.context_depth, resolver=config.resolver
         )
     if config.resolver == "summary":
         return resolve_definedness_summary(vfg)
@@ -78,11 +78,6 @@ class UsherConfig:
             work — see :mod:`repro.vfg.arrayinit`).
         opt2_interproc: Extend Opt II's dominance reasoning across
             function boundaries (extension beyond the paper).
-        jobs: Worker processes for the parallel paths (batched demand
-            queries; ``prepare_module`` consults it for sharded
-            constraint generation via :func:`repro.api.analyze`).
-            ``None`` defers to the session default / ``REPRO_JOBS``;
-            1 is strictly serial.  Results are identical either way.
     """
 
     name: str = "usher"
@@ -95,7 +90,6 @@ class UsherConfig:
     demand: bool = False
     array_init: bool = False
     opt2_interproc: bool = False
-    jobs: Optional[int] = None
 
     @classmethod
     def tl(cls) -> "UsherConfig":
@@ -234,48 +228,19 @@ def prepare_module(
     module: Module,
     heap_cloning: bool = True,
     use_reference_solver: bool = False,
-    jobs: Optional[int] = None,
-    tier: Optional[str] = None,
-    schedule: Optional[str] = None,
-    storage: Optional[str] = None,
-    options: Optional["AnalysisOptions"] = None,
 ) -> PreparedModule:
     """Run pointer analysis, mod/ref and memory-SSA construction.
 
     ``use_reference_solver`` swaps in the naive
     :class:`~repro.analysis.andersen.ReferenceSolver` (the escape hatch
     for differential debugging); results are identical, only slower.
-    ``jobs`` shards constraint generation across worker processes
-    (``None`` defers to the session default / ``REPRO_JOBS``).
-    ``tier`` picks the solving tier — ``"full"``, ``"lazy"`` or
-    ``"unified"`` (``None`` defers to the session default /
-    ``REPRO_TIER``); results are bit-identical across tiers.
-    ``schedule`` picks the solver worklist discipline (``"wave"`` /
-    ``"fifo"``).  ``storage`` picks the points-to representation
-    (``"int"`` / ``"compressed"`` / ``"auto"``; ``None`` defers to the
-    session default / ``REPRO_STORAGE``); results are bit-identical
-    across storages.  ``options`` is the consolidated knob record
-    (:class:`repro.options.AnalysisOptions`); a set field wins over the
-    corresponding keyword.
     """
-    if options is not None:
-        resolved = options.or_keywords(
-            jobs=jobs, tier=tier, schedule=schedule, storage=storage
-        )
-        jobs = resolved["jobs"]
-        tier = resolved["tier"]
-        schedule = resolved["schedule"]
-        storage = resolved["storage"]
     started = time.perf_counter()
     with TRACE.span("prepare"):
         pointers = analyze_pointers(
             module,
             heap_cloning=heap_cloning,
             use_reference=use_reference_solver,
-            schedule=schedule,
-            jobs=jobs,
-            tier=tier,
-            storage=storage,
         )
         with TRACE.span("callgraph"):
             callgraph = CallGraph(module, pointers)
@@ -311,7 +276,6 @@ def run_usher(prepared: PreparedModule, config: UsherConfig) -> UsherResult:
                 resolver=config.resolver,
                 interprocedural=config.opt2_interproc,
                 demand=config.demand,
-                jobs=config.jobs,
             )
         REGISTRY.record_opt2(opt2_stats, config=config.name)
     else:

@@ -3,7 +3,7 @@
 Three zero-dependency pillars (see ``docs/observability.md``):
 
 - :mod:`repro.obs.trace` — hierarchical in-process span tracing of
-  every pipeline phase (``TRACE.span("solve", tier=...)``), exportable
+  every pipeline phase (``TRACE.span("vfg.build", ...)``), exportable
   as Chrome trace-event JSON (``repro check --trace out.json``, load in
   ``chrome://tracing`` / Perfetto) or a rendered tree (``repro report
   --sections trace``).  Disabled tracing is a no-op behind a single

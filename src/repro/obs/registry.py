@@ -9,7 +9,7 @@ shared schema::
     phase     the pipeline phase the numbers describe
     counters  the stats object's ``as_dict()`` (or field dict) payload
     wall_s    per-phase wall-clock seconds (``{phase: seconds}``)
-    tags      run context: tier / storage / schedule / jobs / ...
+    tags      run context: config / session / mode / ...
 
 The in-process registry (:data:`REGISTRY`) is a bounded ring — a
 long-lived ``repro serve`` records every update without growing

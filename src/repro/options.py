@@ -1,88 +1,36 @@
-"""The consolidated analysis-options surface: one frozen record, one
-resolution path.
+"""The consolidated analysis-options surface: one frozen record.
 
-Historically every knob of the analysis pipeline — ``jobs=``, ``tier=``,
-``demand=``, ``resolver=``, ``schedule=`` — was threaded separately
-through :func:`repro.api.analyze`, :func:`repro.core.prepare_module`,
-:func:`repro.harness.report.build_report`,
-:func:`repro.oracle.run_campaign` and three copies of the same argparse
-flags.  :class:`AnalysisOptions` replaces the five parallel threads with
-one frozen dataclass accepted everywhere (``analyze(options=...)``,
-``prepare_module(..., options=...)``, ``build_report(options=...)``,
-``run_campaign(..., options=...)``, the CLI via a shared argparse group
-and :class:`repro.service.session.AnalysisSession`).
-
-Resolution order is unchanged and uniform per knob::
-
-    explicit > session default > environment > built-in default
-
-A field left ``None`` simply defers to the next layer — the same
-semantics the individual keywords always had
-(:func:`repro.analysis.parallel.resolve_jobs`,
-:func:`repro.analysis.tiers.resolve_tier`).  The old keyword arguments
-remain as thin shims for one release; an options object always wins
-over a keyword when both are given.
+:class:`AnalysisOptions` is accepted everywhere an analysis is
+configured — ``analyze(options=...)``,
+:class:`repro.service.session.AnalysisSession` and ``repro serve``'s
+``/open`` requests — so every entry point reads the same four fields
+with the same validation.  A field left ``None`` keeps the entry
+point's built-in default.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
-from typing import Iterator, Optional
-
-from repro.analysis.bitsets import (
-    STORAGE_ENV,
-    STORAGES,
-    InvalidStorageError,
-    default_storage,
-    parse_storage,
-)
-from repro.analysis.parallel import (
-    JOBS_ENV,
-    InvalidJobsError,
-    default_jobs,
-    parse_jobs,
-)
-from repro.analysis.tiers import (
-    TIER_ENV,
-    TIERS,
-    InvalidTierError,
-    default_tier,
-    parse_tier,
-)
+from typing import Optional
 
 #: Definedness resolvers accepted by ``AnalysisOptions.resolver``.
 RESOLVERS = ("callstring", "summary")
 
-#: Solver worklist schedules accepted by ``AnalysisOptions.schedule``.
-SCHEDULES = ("wave", "fifo")
-
 
 @dataclass(frozen=True)
 class AnalysisOptions:
-    """Every analysis knob in one immutable record.
+    """Every analysis option in one immutable record.
 
-    All fields default to ``None`` — "defer to the next resolution
-    layer" (session default, then environment, then built-in default).
-    Construction validates eagerly, so a typo'd tier or worker count
-    fails where it was written, not mid-analysis.
+    All fields default to ``None`` — "keep the entry point's default".
+    Construction validates eagerly, so a typo'd resolver fails where it
+    was written, not mid-analysis.
 
     Attributes:
-        tier: Solving tier (``full`` / ``lazy`` / ``unified``); ``None``
-            defers to :func:`repro.analysis.tiers.resolve_tier`.
-        jobs: Worker processes for the parallel paths; ``None`` defers
-            to :func:`repro.analysis.parallel.resolve_jobs`.
         demand: Resolve Γ demand-driven (backward VFG slicing) instead
             of whole-program reachability; ``None`` keeps each entry
-            point's default (``False`` everywhere today).
+            point's default (``False`` for ``analyze()``, ``True`` for
+            sessions).
         resolver: ``"callstring"`` or ``"summary"``.
-        schedule: :class:`~repro.analysis.andersen.DeltaSolver` worklist
-            discipline, ``"wave"`` or ``"fifo"``.
-        storage: Points-to set representation (``int`` / ``compressed``
-            / ``auto``); ``None`` defers to
-            :func:`repro.analysis.bitsets.resolve_storage`.  Results
-            are bit-identical for any storage.
         config: A configuration name (``usher``, ``usher_tl``, ...) for
             entry points that analyze one configuration — ``repro
             serve`` sessions and ``analyze()`` when ``configs=`` is not
@@ -90,37 +38,18 @@ class AnalysisOptions:
         context_depth: Call-string depth for definedness resolution.
     """
 
-    tier: Optional[str] = None
-    jobs: Optional[int] = None
     demand: Optional[bool] = None
     resolver: Optional[str] = None
-    schedule: Optional[str] = None
-    storage: Optional[str] = None
     config: Optional[str] = None
     context_depth: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.tier is not None:
-            object.__setattr__(self, "tier", parse_tier(self.tier, origin="tier"))
-        if self.storage is not None:
-            object.__setattr__(
-                self, "storage", parse_storage(self.storage, origin="storage")
-            )
-        if self.jobs is not None:
-            object.__setattr__(
-                self, "jobs", parse_jobs(str(self.jobs), origin="jobs")
-            )
         if self.demand is not None and not isinstance(self.demand, bool):
             raise ValueError(f"demand must be a bool or None, got {self.demand!r}")
         if self.resolver is not None and self.resolver not in RESOLVERS:
             known = ", ".join(RESOLVERS)
             raise ValueError(
                 f"resolver must be one of {known}; got {self.resolver!r}"
-            )
-        if self.schedule is not None and self.schedule not in SCHEDULES:
-            known = ", ".join(SCHEDULES)
-            raise ValueError(
-                f"schedule must be one of {known}; got {self.schedule!r}"
             )
         if self.context_depth is not None and (
             not isinstance(self.context_depth, int) or self.context_depth < 0
@@ -136,19 +65,6 @@ class AnalysisOptions:
         updates = {k: v for k, v in overrides.items() if v is not None}
         return replace(self, **updates) if updates else self
 
-    def or_keywords(self, **keywords) -> dict:
-        """Resolve keyword fallbacks against this record.
-
-        For each ``name=fallback``, the returned dict holds this
-        record's field when it is set and ``fallback`` otherwise —
-        the one-liner every ``options=``-accepting entry point uses to
-        honor its legacy keywords."""
-        out = {}
-        for name, fallback in keywords.items():
-            value = getattr(self, name)
-            out[name] = fallback if value is None else value
-        return out
-
     def as_dict(self) -> dict:
         """The non-``None`` fields, for JSON round-trips (``repro
         serve`` requests) and stats records."""
@@ -161,7 +77,7 @@ class AnalysisOptions:
     @classmethod
     def from_dict(cls, data: Optional[dict]) -> "AnalysisOptions":
         """Validated construction from a JSON-ish mapping; unknown keys
-        are rejected (a typo'd knob must not silently default)."""
+        are rejected (a typo'd option must not silently default)."""
         if not data:
             return cls()
         known = {f.name for f in fields(cls)}
@@ -172,136 +88,17 @@ class AnalysisOptions:
         return cls(**data)
 
 
-@contextmanager
-def session_options(options: Optional[AnalysisOptions]) -> Iterator[AnalysisOptions]:
-    """Install ``options``'s tier and worker count as session defaults
-    for the enclosed block (layer 2 of the resolution order).
-
-    ``None`` fields — and a ``None`` options object — are no-ops, so an
-    optional CLI argument passes straight through.  Nesting restores the
-    previous defaults on exit."""
-    opts = options if options is not None else AnalysisOptions()
-    with default_jobs(opts.jobs):
-        with default_tier(opts.tier):
-            with default_storage(opts.storage):
-                yield opts
-
-
-# ----------------------------------------------------------------------
-# CLI integration: one shared argparse group + boundary validation.
-# ----------------------------------------------------------------------
-def validate_jobs_arg(raw: Optional[str]) -> Optional[int]:
-    """Validate a ``--jobs`` value (kept as text so a typo produces a
-    one-line message instead of argparse's usage dump).  With no flag, a
-    *malformed* ``REPRO_JOBS`` is rejected here, at the boundary, rather
-    than mid-analysis."""
-    if raw is None:
-        env = os.environ.get(JOBS_ENV)
-        if env is not None:
-            parse_jobs(env, origin=JOBS_ENV)
-        return None
-    return parse_jobs(raw, origin="--jobs")
-
-
-def validate_tier_arg(raw: Optional[str]) -> Optional[str]:
-    """Validate a ``--tier`` value (same boundary discipline as
-    :func:`validate_jobs_arg`: with no flag, a *malformed*
-    ``REPRO_TIER`` is rejected here with a one-line message, not
-    mid-analysis)."""
-    if raw is None:
-        env = os.environ.get(TIER_ENV)
-        if env is not None:
-            parse_tier(env, origin=TIER_ENV)
-        return None
-    return parse_tier(raw, origin="--tier")
-
-
-def validate_storage_arg(raw: Optional[str]) -> Optional[str]:
-    """Validate a ``--storage`` value (same boundary discipline as
-    :func:`validate_tier_arg`: with no flag, a *malformed*
-    ``REPRO_STORAGE`` is rejected here with a one-line message, not
-    mid-analysis)."""
-    if raw is None:
-        env = os.environ.get(STORAGE_ENV)
-        if env is not None:
-            parse_storage(env, origin=STORAGE_ENV)
-        return None
-    return parse_storage(raw, origin="--storage")
-
-
-def add_analysis_options(parser, *, demand_flag: bool = False) -> None:
-    """Add the shared ``--jobs`` / ``--tier`` (and optionally
-    ``--demand``) analysis-options group to an argparse (sub)parser.
-
-    One definition replaces the previously triplicated flag blocks of
-    ``repro check`` / ``report`` / ``fuzz``; ``repro serve`` picks it up
-    for free."""
-    group = parser.add_argument_group("analysis options")
-    group.add_argument(
-        "--jobs",
-        default=None,
-        metavar="N",
-        help="worker processes for the parallel analysis paths (sharded "
-        "constraint generation; batched demand queries); default: "
-        "$REPRO_JOBS or 1 (serial). Results are identical for any value",
-    )
-    group.add_argument(
-        "--tier",
-        default=None,
-        metavar="TIER",
-        help="solving tier: full (eager Andersen fixpoint), lazy (defer "
-        "solving; queries force only their backward constraint slice) "
-        "or unified (Steensgaard-style pre-collapse, then solve); "
-        "default: $REPRO_TIER or full. Results are identical for any tier",
-    )
-    group.add_argument(
-        "--storage",
-        default=None,
-        metavar="STORAGE",
-        help="points-to set representation: int (dense Python-int "
-        "bitsets), compressed (roaring-style array/bitmap/run "
-        "containers) or auto (compressed for large modules); default: "
-        "$REPRO_STORAGE or int. Results are identical for any storage",
-    )
-    if demand_flag:
-        group.add_argument(
-            "--demand",
-            action="store_true",
-            help="resolve definedness demand-driven (backward VFG "
-            "slicing) instead of whole-program reachability; identical "
-            "verdicts",
-        )
-
-
 def options_from_args(args) -> AnalysisOptions:
-    """Build a validated :class:`AnalysisOptions` from parsed CLI args.
-
-    Runs the boundary validation (malformed flag *or* malformed
-    environment variable → one-line :class:`InvalidJobsError` /
-    :class:`InvalidTierError`, which the CLI maps to exit code 2)."""
-    demand = getattr(args, "demand", None)
+    """Build an :class:`AnalysisOptions` from parsed CLI args (the
+    ``--demand`` and ``--config`` flags of ``repro check`` / ``serve``)."""
     return AnalysisOptions(
-        jobs=validate_jobs_arg(getattr(args, "jobs", None)),
-        tier=validate_tier_arg(getattr(args, "tier", None)),
-        storage=validate_storage_arg(getattr(args, "storage", None)),
-        demand=True if demand else None,
+        demand=True if getattr(args, "demand", None) else None,
         config=getattr(args, "config", None),
     )
 
 
 __all__ = [
     "RESOLVERS",
-    "SCHEDULES",
-    "STORAGES",
     "AnalysisOptions",
-    "InvalidJobsError",
-    "InvalidStorageError",
-    "InvalidTierError",
-    "TIERS",
-    "add_analysis_options",
     "options_from_args",
-    "session_options",
-    "validate_jobs_arg",
-    "validate_storage_arg",
-    "validate_tier_arg",
 ]

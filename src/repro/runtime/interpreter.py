@@ -73,6 +73,13 @@ class StepLimitExceeded(Exception):
     """The step budget ran out (guards runaway random programs)."""
 
 
+#: Memory cells one run may allocate, red zones included.  Every cell
+#: is touched at allocation and none is ever freed, so an oversized
+#: array must fault rather than exhaust the host.  The largest native
+#: paper-suite run (scale 1.0) ends at address 1,424.
+MAX_CELLS = 1 << 20
+
+
 class ShadowProtocolError(Exception):
     """A shadow statement read a shadow value nothing initialized —
     the instrumentation plan is unsound (test oracle)."""
@@ -237,6 +244,11 @@ class Interpreter:
 
     def _allocate(self, size: int, initialized: bool) -> int:
         base = self._next_addr
+        if base + size + 1 > MAX_CELLS:
+            raise RuntimeFault(
+                f"allocating {size} cells exceeds the run's "
+                f"{MAX_CELLS}-cell memory budget"
+            )
         self._next_addr += size + 1  # +1: red zone between objects
         mask = DEFINED if initialized else UNDEFINED
         for offset in range(size):
@@ -252,14 +264,18 @@ class Interpreter:
         if main is None:
             raise RuntimeFault("no main function")
         # Each simulated frame costs a handful of Python frames; make
-        # sure the guest's max_depth guard fires before CPython's.
+        # sure the guest's max_depth guard fires before CPython's.  The
+        # raised limit is the run's own: the rest of the process (the
+        # TinyC front end's nesting guard) keeps its limit.
+        limit = sys.getrecursionlimit()
         needed = self.max_depth * 40 + 1000
-        if sys.getrecursionlimit() < needed:
+        if limit < needed:
             sys.setrecursionlimit(needed)
         values = [(v, DEFINED) for v in (args or [])]
         try:
             result = self._call(main, values)
         finally:
+            sys.setrecursionlimit(limit)
             # The decoded closures refer back to this interpreter;
             # dropping them lets refcounting free it without the
             # cycle collector.

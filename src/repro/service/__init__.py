@@ -1,5 +1,5 @@
 """Resident analysis service: long-lived sessions, incremental
-re-analysis, a persistent worker pool and the ``repro serve`` front end.
+re-analysis and the ``repro serve`` front end.
 
 The one-shot pipeline (:func:`repro.api.analyze`) re-runs every phase
 from scratch on each call.  This package keeps the analysis *resident*:
@@ -10,22 +10,16 @@ from scratch on each call.  This package keeps the analysis *resident*:
   function incrementally (cached constraint tapes, warm-started solver,
   closure-tracked memo carryover) with results bit-identical to a cold
   :func:`~repro.api.analyze`.
-* :class:`repro.service.pool.ResidentPool` — fork-once worker processes
-  reused across query batches and analyses, shipping constraint tapes
-  through shared-memory flat arrays instead of per-call fork+pickle.
 * :func:`repro.service.server.serve` — the localhost HTTP/JSON server
   behind ``repro serve`` (``open`` / ``update`` / ``query_sites`` /
   ``explain`` / ``stats``), with sessions cached per source digest.
 """
 
 from repro.service.session import AnalysisSession, UpdateStats, plan_signature
-from repro.service.pool import FlatTape, ResidentPool
 from repro.service.server import ServiceClient, serve
 
 __all__ = [
     "AnalysisSession",
-    "FlatTape",
-    "ResidentPool",
     "ServiceClient",
     "UpdateStats",
     "plan_signature",

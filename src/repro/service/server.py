@@ -1,8 +1,7 @@
 """``repro serve``: a localhost HTTP/JSON front end over sessions.
 
 Single-threaded on purpose — sessions are stateful and not
-thread-safe; one request at a time is the concurrency model.  The
-parallelism lives *inside* a session (its resident worker pool).
+thread-safe; one request at a time is the concurrency model.
 
 Routes (all POST bodies and responses are JSON):
 
@@ -13,13 +12,12 @@ Routes (all POST bodies and responses are JSON):
   options returns the resident session.
 * ``POST /update`` — ``{"digest", "function", "body"}`` → incremental
   re-analysis stats.
-* ``POST /query_sites`` — ``{"digest", "uids"?, "jobs"?}`` → verdicts.
+* ``POST /query_sites`` — ``{"digest", "uids"?}`` → verdicts.
 * ``POST /explain`` — ``{"digest", "uid"}`` → rendered flow steps.
 * ``POST /stats`` / ``GET /ping`` — introspection.
 * ``GET /metrics`` — Prometheus text exposition (request counts and
   latency histograms per route, session count, last-update dirty
-  fraction and memo-carryover counters per session, resident-pool
-  worker health).
+  fraction and memo-carryover counters per session).
 
 Client errors answer ``400`` (malformed input) or ``404`` (unknown
 digest — :class:`UnknownDigestError` — or unknown route) with
@@ -112,11 +110,6 @@ class ReproServer(HTTPServer):
             "Demand-engine memo entries dropped across updates.",
             labels=("digest",),
         )
-        self._pool_workers = self.metrics.gauge(
-            "repro_pool_workers",
-            "Resident-pool worker processes, by session and liveness.",
-            labels=("digest", "state"),
-        )
 
     def observe_request(
         self, route: str, status: int, started: float
@@ -141,24 +134,7 @@ class ReproServer(HTTPServer):
                 self._dirty_fraction.set(
                     update.dirty_fraction, digest=digest
                 )
-            pool = getattr(session, "_query_pool", None)
-            alive, started = (
-                pool.worker_health() if pool is not None else (0, 0)
-            )
-            self._pool_workers.set(alive, digest=digest, state="alive")
-            self._pool_workers.set(
-                started - alive, digest=digest, state="dead"
-            )
         return self.metrics.render()
-
-    def close_sessions(self) -> None:
-        for session in self.sessions.values():
-            session.close()
-        self.sessions.clear()
-
-    def server_close(self) -> None:
-        self.close_sessions()
-        super().server_close()
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -283,9 +259,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _route_query_sites(self, data: Dict) -> Dict:
         session = self._session(data)
-        uids = data.get("uids")
-        jobs = data.get("jobs")
-        verdicts = session.query_sites(uids=uids, jobs=jobs)
+        verdicts = session.query_sites(uids=data.get("uids"))
         return {
             "verdicts": {str(uid): ok for uid, ok in sorted(verdicts.items())}
         }
@@ -383,16 +357,11 @@ class ServiceClient:
         )
 
     def query_sites(
-        self,
-        digest: str,
-        uids: Optional[list] = None,
-        jobs: Optional[int] = None,
+        self, digest: str, uids: Optional[list] = None
     ) -> Dict[int, bool]:
         payload: Dict = {"digest": digest}
         if uids is not None:
             payload["uids"] = list(uids)
-        if jobs is not None:
-            payload["jobs"] = jobs
         raw = self._call("/query_sites", payload)["verdicts"]
         return {int(uid): ok for uid, ok in raw.items()}
 

@@ -71,9 +71,7 @@ from repro.analysis.andersen import (
 from repro.analysis.callgraph import CallGraph
 from repro.analysis.memobjects import function_object, global_object
 from repro.analysis.modref import ModRefResult
-from repro.analysis.parallel import fork_available, resolve_jobs
 from repro.analysis.solverstats import SolverStats
-from repro.analysis.tiers import resolve_tier
 from repro.obs.registry import REGISTRY
 from repro.obs.trace import TRACE
 from repro.core.usher import (
@@ -237,8 +235,8 @@ class _ObservedMemo(dict):
     writes.  :class:`repro.vfg.demand.DemandEngine` touches its memo
     only through ``.get`` and item assignment, so hooking those two
     (plus ``__getitem__``/``__contains__`` for safety) observes every
-    dependency.  ``dict.update`` deliberately bypasses the hooks: bulk
-    merges (parallel query joins, priming) carry no read/write record.
+    dependency.  ``dict.update`` deliberately bypasses the hooks: a bulk
+    merge (priming) carries no read/write record.
     """
 
     def __init__(self) -> None:
@@ -442,6 +440,21 @@ def _normalized_ops(shard) -> Set[Tuple]:
     return out
 
 
+def _merge_tape_tables(solver: DeltaSolver, tape) -> None:
+    """Fold a tape's generation-side tables into ``solver``:
+    ``alloc_objects`` dedupes append-if-absent, so replaying tapes in
+    module order reproduces a cold build's list orders."""
+    for uid, targets in tape.call_targets.items():
+        solver.call_targets.setdefault(uid, set()).update(targets)
+    solver.clone_base.update(tape.clone_base)
+    solver._instantiated.update(tape.instantiated)
+    for uid, objs in tape.alloc_objects.items():
+        known = solver.alloc_objects.setdefault(uid, [])
+        for obj in objs:
+            if obj not in known:
+                known.append(obj)
+
+
 class _TapeSolver(DeltaSolver):
     """A :class:`DeltaSolver` seeded from cached per-function tapes.
 
@@ -460,21 +473,9 @@ class _TapeSolver(DeltaSolver):
         tapes: Sequence,
         stats: SolverStats,
         recursive: Set[str],
-        schedule: str,
-        lazy: bool,
-        storage: str = "int",
     ) -> None:
         self._session_tapes = list(tapes)
-        super().__init__(
-            module,
-            wrappers,
-            stats=stats,
-            jobs=1,
-            recursive=recursive,
-            schedule=schedule,
-            lazy=lazy,
-            storage=storage,
-        )
+        super().__init__(module, wrappers, stats=stats, recursive=recursive)
 
     def _seed(self) -> None:
         for glob in self.module.globals.values():
@@ -483,7 +484,9 @@ class _TapeSolver(DeltaSolver):
             )
         for name in self.module.functions:
             self.function_objects[name] = function_object(name)
-        self._merge_shards(self._session_tapes)
+        for tape in self._session_tapes:
+            self._replay_shard(tape)
+            _merge_tape_tables(self, tape)
 
 
 # ----------------------------------------------------------------------
@@ -551,11 +554,6 @@ class AnalysisSession:
         self._level = level
         opts = options if options is not None else AnalysisOptions()
         self._options = opts
-        self._tier = resolve_tier(opts.tier)
-        self._schedule = opts.schedule or "wave"
-        # Deferred: "auto" resolves against each rebuild's module size.
-        self._storage = opts.storage
-        self._jobs = opts.jobs
         self._config = self._resolve_config(opts, usher_config)
 
         # Source of truth: canonical pre-pipeline texts.  The printed
@@ -584,8 +582,6 @@ class AnalysisSession:
         self._memos_carried = 0
         self._memos_dropped = 0
         self._explain_cache: Optional[Tuple[int, _SessionEngine]] = None
-        self._query_pool = None
-        self._query_pool_gen = -1
 
         self.generation = 0
         self.last_update: Optional[UpdateStats] = None
@@ -630,7 +626,7 @@ class AnalysisSession:
     def _resolve_config(
         options: AnalysisOptions, usher_config: Optional[UsherConfig]
     ) -> UsherConfig:
-        overrides: Dict = {"jobs": 1}
+        overrides: Dict = {}
         if usher_config is not None:
             config = usher_config
             if options.demand is not None:
@@ -740,23 +736,17 @@ class AnalysisSession:
         return self._rebuild(module, edited=function_name)
 
     def query_sites(
-        self,
-        uids: Optional[Iterable[int]] = None,
-        jobs: Optional[int] = None,
+        self, uids: Optional[Iterable[int]] = None
     ) -> Dict[int, bool]:
         """Definedness verdict per check site of the session's VFG,
         keyed by instruction uid (AND-folded over the site's operands).
 
         Verdicts mirror the session's Γ exactly — under Opt II they are
         answered on the rewired scratch graph, like a cold ``analyze``.
-        ``jobs`` (explicit > session options > ``REPRO_JOBS`` > serial)
-        fans the batch across the session's resident worker pool —
-        forked once per generation and reused for every later batch.
-        Verdicts are identical regardless of ``jobs``.
         """
         gamma = self.gamma
-        # Demand configurations answer through the carried engine (and
-        # can fan out); eager Γ is a finished map — lookups are free.
+        # Demand configurations answer through the carried engine;
+        # eager Γ is a finished map — lookups are free.
         engine = gamma.engine if isinstance(gamma, LazyDefinedness) else None
         wanted = set(uids) if uids is not None else None
         site_list = (
@@ -764,22 +754,10 @@ class AnalysisSession:
             if engine is not None
             else self.vfg.check_sites
         )
-        sites = [
-            (index, site)
-            for index, site in enumerate(site_list)
-            if wanted is None or site.instr_uid in wanted
-        ]
-        if jobs is None:
-            jobs = self._jobs
-        effective = min(resolve_jobs(jobs), len(sites))
-        if engine is not None and effective > 1 and fork_available():
-            pool = self._ensure_query_pool(effective, engine)
-            if pool is not None:
-                verdicts = pool.query_sites([index for index, _ in sites])
-                if verdicts is not None:
-                    return verdicts
         verdicts: Dict[int, bool] = {}
-        for _index, site in sites:
+        for site in site_list:
+            if wanted is not None and site.instr_uid not in wanted:
+                continue
             ok = gamma.is_defined(site.node)
             verdicts[site.instr_uid] = verdicts.get(site.instr_uid, True) and ok
         return verdicts
@@ -803,10 +781,6 @@ class AnalysisSession:
             "name": self.name,
             "generation": self.generation,
             "config": self._config.name,
-            "tier": self._tier,
-            "storage": (
-                solver_stats.storage if solver_stats is not None else "int"
-            ),
             "resolver": self._config.resolver,
             "demand": self._config.demand,
             "functions": len(self._fn_texts),
@@ -824,27 +798,12 @@ class AnalysisSession:
             payload["last_update"] = self.last_update.as_dict()
         return payload
 
-    def close(self) -> None:
-        """Shut down the resident worker pool (if any)."""
-        if self._query_pool is not None:
-            self._query_pool.shutdown()
-            self._query_pool = None
-
-    def __enter__(self) -> "AnalysisSession":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
     # -- rebuild pipeline -----------------------------------------------
     def _rebuild(
         self, pre_module: Module, edited: Optional[str]
     ) -> UpdateStats:
         with TRACE.span(
-            "session.update",
-            session=self.name,
-            function=edited or "",
-            tier=self._tier,
+            "session.update", session=self.name, function=edited or ""
         ):
             return self._rebuild_traced(pre_module, edited)
 
@@ -860,14 +819,7 @@ class AnalysisSession:
         self._pristine = module
 
         prepare_started = time.perf_counter()
-        tape_pool = self._tape_pool_for(module)
-        try:
-            pointers, mode, reused, regenerated = self._pointer_pass(
-                module, tape_pool
-            )
-        finally:
-            if tape_pool is not None:
-                tape_pool.shutdown()
+        pointers, mode, reused, regenerated = self._pointer_pass(module)
         working = _copy_module(module)
         callgraph = CallGraph(working, pointers)
         modref = ModRefResult(working, pointers, callgraph)
@@ -884,9 +836,6 @@ class AnalysisSession:
         self._memos_dropped = 0
         dirty_buckets, dirty_nodes, total_nodes = self._run_config()
         self._explain_cache = None
-        if self._query_pool is not None:
-            self._query_pool.shutdown()
-            self._query_pool = None
 
         if edited is None:
             mode = "initial"
@@ -906,27 +855,12 @@ class AnalysisSession:
             update_seconds=time.perf_counter() - started,
         )
         self.last_update = stats
-        REGISTRY.record_update(
-            stats, session=self.name, tier=self._tier
-        )
+        REGISTRY.record_update(stats, session=self.name)
         return stats
-
-    def _tape_pool_for(self, module: Module):
-        jobs = resolve_jobs(self._jobs) if self._jobs is not None else 1
-        if jobs < 2 or len(module.functions) < 2 or not fork_available():
-            return None
-        from repro.service.pool import ResidentPool
-
-        pool = ResidentPool(jobs, module=module)
-        try:
-            pool.start()
-        except OSError:
-            return None
-        return pool
 
     # -- pointer pass ----------------------------------------------------
     def _pointer_pass(
-        self, module: Module, tape_pool
+        self, module: Module
     ) -> Tuple[PointerResult, str, int, int]:
         recursive = _recursive_functions(module)
         if self._recursive is not None and recursive != self._recursive:
@@ -949,17 +883,14 @@ class AnalysisSession:
             self._base_solver,
             recursive,
             counters,
-            tape_pool,
         )
         self._base_solver = base
-        base.force_wrapper_candidates()
         with base.stats.phase("wrappers"):
             wrappers = frozenset(base.detect_wrappers())
         if not wrappers:
             self._refined_solver = None
             self._refined_tapes.clear()
             self._refined_wrappers = None
-            base.force_all()
             result = base.result()
             modes = [base_mode]
         else:
@@ -974,10 +905,8 @@ class AnalysisSession:
                 self._refined_solver,
                 recursive,
                 counters,
-                tape_pool,
             )
             self._refined_solver = refined
-            refined.force_all()
             result = refined.result()
             result.wrappers = set(wrappers)
             modes = [base_mode, refined_mode]
@@ -997,7 +926,6 @@ class AnalysisSession:
         prev_solver: Optional[DeltaSolver],
         recursive: Set[str],
         counters: Dict[str, int],
-        tape_pool,
     ) -> Tuple[DeltaSolver, str]:
         tapes: List = []
         dirty: List[Tuple[str, Optional[object], object]] = []
@@ -1012,9 +940,10 @@ class AnalysisSession:
                 tapes.append((fname, fingerprint, cached))
                 missing.append(fname)
         if missing:
-            fresh = self._collect_tapes(
-                module, wrappers, recursive, missing, tape_pool
-            )
+            fresh = {
+                fname: _collect_tape(module, wrappers, recursive, fname)
+                for fname in missing
+            }
             for index, entry in enumerate(tapes):
                 if not isinstance(entry, tuple) or len(entry) != 3:
                     continue
@@ -1034,53 +963,12 @@ class AnalysisSession:
                 self._warm_solve(prev_solver, module, recursive, dirty, tapes),
                 "warm",
             )
-        from repro.analysis.bitsets import resolve_storage
-
-        module_ops = sum(
-            1
-            for function in module.functions.values()
-            for _ in function.instructions()
-        )
-        storage = resolve_storage(self._storage, ops=module_ops)
-        stats = SolverStats(
-            solver=DeltaSolver.kind,
-            schedule=self._schedule,
-            tier=self._tier,
-            storage=storage,
-        )
+        stats = SolverStats(solver=DeltaSolver.kind)
         solver = _TapeSolver(
-            module,
-            frozenset(wrappers),
-            tapes,
-            stats,
-            set(recursive),
-            self._schedule,
-            self._tier == "lazy",
-            storage,
+            module, frozenset(wrappers), tapes, stats, set(recursive)
         )
-        if self._tier == "unified":
-            from repro.analysis.unify import presolve_unify
-
-            presolve_unify(solver)
         solver.solve()
         return solver, "rebuild"
-
-    def _collect_tapes(
-        self,
-        module: Module,
-        wrappers: FrozenSet[str],
-        recursive: Set[str],
-        names: List[str],
-        tape_pool,
-    ) -> Dict[str, object]:
-        if tape_pool is not None and len(names) > 1:
-            shards = tape_pool.collect_tapes(names, wrappers, recursive)
-            if shards is not None:
-                return shards
-        return {
-            fname: _collect_tape(module, wrappers, recursive, fname)
-            for fname in names
-        }
 
     @staticmethod
     def _warm_eligible(
@@ -1095,10 +983,6 @@ class AnalysisSession:
         # the function set and every signature must be unchanged
         # (indirect-call binding reads formals from the live module)
         # and every dirty tape must only add ops.
-        if solver._lazy and not solver._complete:
-            # A partially forced lazy solver cannot absorb new
-            # constraints through its slice bookkeeping; rebuild.
-            return False
         old_module = solver.module
         if set(old_module.functions) != set(module.functions):
             return False
@@ -1133,15 +1017,7 @@ class AnalysisSession:
         solver.clone_base = {}
         solver._instantiated = set()
         for shard in all_tapes:
-            for uid, targets in shard.call_targets.items():
-                solver.call_targets.setdefault(uid, set()).update(targets)
-            solver.clone_base.update(shard.clone_base)
-            solver._instantiated.update(shard.instantiated)
-            for uid, objs in shard.alloc_objects.items():
-                known = solver.alloc_objects.setdefault(uid, [])
-                for obj in objs:
-                    if obj not in known:
-                        known.append(obj)
+            _merge_tape_tables(solver, shard)
         solver.module = module
         solver._recursive = set(recursive)
         solver.solve()
@@ -1179,12 +1055,11 @@ class AnalysisSession:
                 resolver=config.resolver,
                 interprocedural=config.opt2_interproc,
                 demand=config.demand,
-                jobs=config.jobs,
                 engine_factory=factory,
             )
         elif config.demand:
             engine = self._carry_bank("main", vfg, fingerprints)
-            engine.query_sites(vfg.check_sites, jobs=config.jobs)
+            engine.query_sites(vfg.check_sites)
             gamma = engine.gamma()
         else:
             gamma = prepared.gamma(config)
@@ -1263,27 +1138,6 @@ class AnalysisSession:
         )
         self._explain_cache = (self.generation, engine)
         return engine
-
-    def _ensure_query_pool(self, jobs: int, engine: _SessionEngine):
-        if (
-            self._query_pool is not None
-            and self._query_pool_gen == self.generation
-            and self._query_pool.jobs >= jobs
-        ):
-            return self._query_pool
-        if self._query_pool is not None:
-            self._query_pool.shutdown()
-            self._query_pool = None
-        from repro.service.pool import ResidentPool
-
-        pool = ResidentPool(jobs, engine=engine)
-        try:
-            pool.start()
-        except OSError:
-            return None
-        self._query_pool = pool
-        self._query_pool_gen = self.generation
-        return pool
 
 
 # ----------------------------------------------------------------------

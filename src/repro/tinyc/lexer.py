@@ -10,7 +10,7 @@ observable writes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import Iterator, List, Optional
 
 KEYWORDS = frozenset(
     {
@@ -42,10 +42,13 @@ _OPERATORS = (
 
 
 class TinyCSyntaxError(Exception):
-    """A lexical or syntactic error, carrying source position."""
+    """A lexical or syntactic error, carrying source position when it
+    has one."""
 
-    def __init__(self, message: str, line: int, col: int) -> None:
-        super().__init__(f"{line}:{col}: {message}")
+    def __init__(
+        self, message: str, line: Optional[int] = None, col: Optional[int] = None
+    ) -> None:
+        super().__init__(message if line is None else f"{line}:{col}: {message}")
         self.line = line
         self.col = col
 

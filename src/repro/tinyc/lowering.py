@@ -24,6 +24,7 @@ from repro.ir.cfg import remove_unreachable_blocks
 from repro.ir.module import Module
 from repro.ir.values import Const, Value, Var
 from repro.tinyc import ast
+from repro.tinyc.lexer import TinyCSyntaxError
 from repro.tinyc.parser import parse
 
 
@@ -36,8 +37,15 @@ class LoweringError(Exception):
 
 
 def compile_source(source: str, name: str = "module") -> Module:
-    """Parse and lower TinyC source text to an IR module."""
-    return lower_program(parse(source), name)
+    """Parse and lower TinyC source text to an IR module.
+
+    The parser and the lowering recurse over the program's nesting, so
+    a program nested deeper than the interpreter's recursion limit is
+    rejected as a syntax error rather than crashing."""
+    try:
+        return lower_program(parse(source), name)
+    except RecursionError:
+        raise TinyCSyntaxError("program nests too deeply") from None
 
 
 def lower_program(program: ast.Program, name: str = "module") -> Module:

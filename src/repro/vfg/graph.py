@@ -13,6 +13,7 @@ context-sensitively (§3.3).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
@@ -165,14 +166,11 @@ class VFG:
 
     Nodes are interned to dense integer ids; edges live as fixed-width
     rows ``[src nid, dst nid, kind code, callsite]`` in one flat
-    ``int64`` arena (:class:`repro.analysis.bitsets.Int64Arena`), with
-    per-node adjacency as lists of row indices.  :class:`Edge` objects
-    are materialized lazily (and cached per row) only when a traversal
-    asks for them, so a million-edge graph costs four machine words per
-    edge plus its interned node objects — not a million Python tuples —
-    and the edge columns can be published through
-    ``multiprocessing.shared_memory`` verbatim (:meth:`edge_columns` /
-    :meth:`from_columns`).
+    ``array("q")``, with per-node adjacency as lists of row indices.
+    :class:`Edge` objects are materialized lazily (and cached per row)
+    only when a traversal asks for them, so a million-edge graph costs
+    four machine words per edge plus its interned node objects — not a
+    million Python tuples.
 
     ``remove_edge`` tombstones the row (kind code ``-1``); the arena is
     append-only and a dead row stays in both adjacency lists, where
@@ -189,14 +187,12 @@ class VFG:
     """
 
     def __init__(self, address_taken: bool = True) -> None:
-        from repro.analysis.bitsets import Int64Arena
-
         self.address_taken = address_taken
         #: node interning: object -> dense id, id -> object
         self._node_ids: Dict[Node, int] = {}
         self._node_list: List[Node] = []
         #: edge rows, _ROW words each, append-only
-        self._columns = Int64Arena()
+        self._columns = array("q")
         #: the live row's words ``(src nid, dst nid, kind code,
         #: callsite)`` -> row index (dedupe + removal); int keys hash
         #: cheaply
@@ -219,7 +215,7 @@ class VFG:
     def _edge(self, eid: int) -> Edge:
         edge = self._edge_cache.get(eid)
         if edge is None:
-            words = self._columns.words
+            words = self._columns
             base = eid * _ROW
             callsite = words[base + 3]
             edge = Edge(
@@ -233,12 +229,12 @@ class VFG:
 
     def _live(self, eids: List[int]) -> List[int]:
         """``eids`` without the tombstoned rows."""
-        words = self._columns.words
+        words = self._columns
         return [eid for eid in eids if words[eid * _ROW + 2] != _DEAD]
 
     def _kill(self, eid: int) -> None:
         """Tombstone live row ``eid``; it stays in the adjacency lists."""
-        words = self._columns.words
+        words = self._columns
         base = eid * _ROW
         del self._edge_ids[tuple(words[base:base + _ROW])]
         words[base + 2] = _DEAD
@@ -272,7 +268,7 @@ class VFG:
             _KIND_CODES[kind],
             _NO_CALLSITE if callsite is None else callsite,
         )
-        words = self._columns.words
+        words = self._columns
         eid = len(words) // _ROW
         if self._edge_ids.setdefault(key, eid) != eid:
             return  # already present
@@ -316,7 +312,7 @@ class VFG:
     def remove_rows_into(self, nid: int, srcs) -> int:
         """Remove every live edge into node id ``nid`` whose source id
         is in ``srcs``; returns the number removed."""
-        words = self._columns.words
+        words = self._columns
         removed = 0
         for eid in self._deps.get(nid, ()):
             base = eid * _ROW
@@ -382,7 +378,7 @@ class VFG:
         return self._rows(self._flows.get(nid, ()))
 
     def _rows(self, eids) -> List[Tuple[int, int, str, Optional[int]]]:
-        words = self._columns.words
+        words = self._columns
         rows = []
         for eid in eids:
             base = eid * _ROW
@@ -417,36 +413,6 @@ class VFG:
         return columns
 
     # ------------------------------------------------------------------
-    def edge_columns(self):
-        """The node table and raw edge arena ``(nodes, columns)``.
-
-        ``columns`` is the append-only row arena (including tombstoned
-        rows, kind code ``-1``); publish it with
-        ``Int64Arena.to_shared_memory`` and rebuild on the other side
-        with :meth:`from_columns`.  The node table is small (interned
-        objects) and travels by pickle.
-        """
-        return list(self._node_list), self._columns
-
-    @classmethod
-    def from_columns(cls, address_taken: bool, nodes, columns) -> "VFG":
-        """Rebuild a graph from :meth:`edge_columns` output (for
-        example an arena attached from shared memory); tombstoned rows
-        are skipped."""
-        vfg = cls(address_taken)
-        for base in range(0, len(columns), _ROW):
-            code = columns[base + 2]
-            if code == _DEAD:
-                continue
-            callsite = columns[base + 3]
-            vfg.add_edge(
-                nodes[columns[base]],
-                nodes[columns[base + 1]],
-                _KIND_FROM_CODE[code],
-                None if callsite == _NO_CALLSITE else callsite,
-            )
-        return vfg
-
     def copy(self) -> "VFG":
         """A structural copy sharing node objects (for Opt II, which
         rewires edges on a scratch copy before re-resolving Γ).
@@ -455,12 +421,10 @@ class VFG:
         edge arena, two adjacency maps — instead of re-adding every
         edge through the interning path.
         """
-        from array import array
-
         clone = VFG(self.address_taken)
         clone._node_ids = dict(self._node_ids)
         clone._node_list = list(self._node_list)
-        clone._columns.words = array("q", self._columns.words)
+        clone._columns = array("q", self._columns)
         clone._edge_ids = dict(self._edge_ids)
         clone._deps = {nid: list(eids) for nid, eids in self._deps.items()}
         clone._flows = {nid: list(eids) for nid, eids in self._flows.items()}

@@ -11,12 +11,11 @@ from repro.cli import main
 from repro.obs.registry import SCHEMA
 
 #: A fast 2x2 matrix: two workloads (one generated, one corpus seed)
-#: under two configurations, single tier.
+#: under two configurations.
 SMOKE = [
     "bench",
     "--workloads", "164.gzip,seed63",
     "--configs", "tl,full",
-    "--tiers", "full",
     "--scale", "0.05",
     "--pool", "1",
     "--quiet",
@@ -86,7 +85,7 @@ class TestMatrixRun:
     def test_unknown_workload_exits_2(self, tmp_path, capsys):
         code = main([
             "bench", "--workloads", "nope.bogus", "--configs", "tl",
-            "--tiers", "full", "--out", str(tmp_path / "x.jsonl"),
+            "--out", str(tmp_path / "x.jsonl"),
         ])
         assert code == 2
         assert "unknown workload" in capsys.readouterr().err
@@ -127,7 +126,6 @@ class TestBaselineGate:
             "bench",
             "--workloads", "164.gzip",  # seed63 cells disappear
             "--configs", "tl,full",
-            "--tiers", "full",
             "--scale", "0.05",
             "--pool", "1",
             "--quiet",
@@ -154,12 +152,13 @@ class TestCommittedSmokeBaseline:
             assert row["schema"] == SCHEMA
             assert row["kind"] == "bench"
             assert row["status"] == "ok"
-        # The acceptance matrix: 4 configs x 2 tiers, corpus included.
+        # The acceptance matrix: 4 configs, corpus included, all
+        # under the one solver setup.
         configs = {row["config"] for row in rows}
         tiers = {row["tier"] for row in rows}
         workloads = {row["workload"] for row in rows}
         assert configs == {"tl", "tl_at", "opt_i", "full"}
-        assert tiers == {"full", "unified"}
+        assert tiers == {"full"}
         assert {"seed185", "seed44", "seed63"} <= workloads
 
 
@@ -232,7 +231,7 @@ class TestPromotion:
         assert set(dict(promoted.pinned)) == set(BASE_CONFIG_SPECS)
         # ...and it runs as a first-class bench workload.
         row = run_cell(
-            Cell("seed_candidate", "full", "full", "int", "wave", 1, 1.0),
+            Cell("seed_candidate", "full", 1.0),
             corpus_dir=sandbox_corpus,
         )
         assert row["status"] == "ok"

@@ -59,16 +59,11 @@ class TestCheck:
         assert "instrumentation plan" in out
         assert "σ(" in out
 
-    @pytest.mark.parametrize("tier", ["full", "lazy", "unified"])
-    def test_every_tier_detects(self, buggy_file, tier, capsys):
-        assert main(["check", buggy_file, "--tier", tier]) == 1
-        assert "use of undefined value" in capsys.readouterr().out
-
-    def test_unified_tier_reports_unified_nodes(self, buggy_file, capsys):
-        main(["check", buggy_file, "--tier", "unified", "--solver-stats"])
+    def test_solver_stats_profile(self, buggy_file, capsys):
+        assert main(["check", buggy_file, "--solver-stats"]) == 1
         out = capsys.readouterr().out
-        assert "unified tier" in out
-        assert "unified nodes" in out
+        assert "solver profile (delta" in out
+        assert "facts propagated" in out
 
     def test_trace_writes_valid_chrome_trace(
         self, buggy_file, tmp_path, capsys

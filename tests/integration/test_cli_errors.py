@@ -1,8 +1,8 @@
 """CLI error paths: invalid input exits non-zero with one clean line.
 
-Every malformed flag — ``--jobs``, ``REPRO_JOBS``, config specs, seed
-ranges, budgets — must produce exit code 2 and a single-line message
-on stderr, never a traceback.
+Every malformed input — config specs, seed ranges, budgets, unreadable
+files — must produce exit code 2 and a single-line message on stderr,
+never a traceback.
 """
 
 import pytest
@@ -31,59 +31,6 @@ def one_clean_error_line(capsys):
     lines = [line for line in err.splitlines() if line.strip()]
     assert len(lines) == 1, err
     return lines[0]
-
-
-class TestJobsValidation:
-    @pytest.mark.parametrize("bad", ["banana", "0", "-3", "2.5", ""])
-    def test_invalid_jobs_flag(self, clean_file, bad, capsys):
-        assert main(["check", clean_file, "--jobs", bad]) == 2
-        line = one_clean_error_line(capsys)
-        assert line.startswith("error:")
-        assert "--jobs" in line
-
-    def test_invalid_jobs_env(self, clean_file, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "banana")
-        assert main(["check", clean_file]) == 2
-        line = one_clean_error_line(capsys)
-        assert line.startswith("error:")
-        assert "REPRO_JOBS" in line
-
-    def test_valid_jobs_env_still_works(self, clean_file, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "1")
-        assert main(["check", clean_file]) == 0
-
-    def test_report_validates_jobs_too(self, capsys):
-        assert main(["report", "--scale", "0.05", "--jobs", "nope"]) == 2
-        assert one_clean_error_line(capsys).startswith("error:")
-
-
-class TestTierValidation:
-    @pytest.mark.parametrize("bad", ["turbo", "0", "", "fulll"])
-    def test_invalid_tier_flag(self, clean_file, bad, capsys):
-        assert main(["check", clean_file, "--tier", bad]) == 2
-        line = one_clean_error_line(capsys)
-        assert line.startswith("error:")
-        assert "--tier" in line
-        assert "full, lazy, unified" in line
-
-    def test_invalid_tier_env(self, clean_file, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_TIER", "turbo")
-        assert main(["check", clean_file]) == 2
-        line = one_clean_error_line(capsys)
-        assert line.startswith("error:")
-        assert "REPRO_TIER" in line
-
-    def test_valid_tier_env_still_works(self, clean_file, monkeypatch):
-        monkeypatch.setenv("REPRO_TIER", "unified")
-        assert main(["check", clean_file]) == 0
-
-    def test_report_validates_tier_too(self, capsys):
-        assert main(["report", "--scale", "0.05", "--tier", "nope"]) == 2
-        assert one_clean_error_line(capsys).startswith("error:")
-
-    def test_fuzz_validates_tier_too(self, capsys):
-        assert main(["fuzz", "--seeds", "0:1", "--tier", "nope"]) == 2
-        assert one_clean_error_line(capsys).startswith("error:")
 
 
 class TestFuzzArgValidation:
@@ -115,10 +62,6 @@ class TestFuzzArgValidation:
         assert main(["fuzz", "--seeds", "0:1", "--budget", bad]) == 2
         assert "budget" in one_clean_error_line(capsys)
 
-    def test_invalid_jobs(self, capsys):
-        assert main(["fuzz", "--seeds", "0:1", "--jobs", "many"]) == 2
-        assert one_clean_error_line(capsys).startswith("error:")
-
     def test_missing_module_file(self, capsys):
         assert main(["fuzz", "--seeds", "", "--module",
                      "/nonexistent/mod.ir"]) == 2
@@ -129,30 +72,6 @@ class TestFuzzArgValidation:
         bad.write_text("def main() {\nentry:\n    this is not ir\n}\n")
         assert main(["fuzz", "--seeds", "", "--module", str(bad)]) == 2
         assert one_clean_error_line(capsys).startswith("invalid module:")
-
-
-class TestServeArgValidation:
-    """``repro serve`` shares the analysis-options flag group, so the
-    same boundary discipline applies before any socket is bound."""
-
-    def test_invalid_jobs_flag(self, capsys):
-        assert main(["serve", "--jobs", "banana"]) == 2
-        line = one_clean_error_line(capsys)
-        assert line.startswith("error:")
-        assert "--jobs" in line
-
-    def test_invalid_tier_flag(self, capsys):
-        assert main(["serve", "--tier", "warp"]) == 2
-        line = one_clean_error_line(capsys)
-        assert line.startswith("error:")
-        assert "full, lazy, unified" in line
-
-    def test_invalid_environment(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_TIER", "turbo")
-        assert main(["serve"]) == 2
-        line = one_clean_error_line(capsys)
-        assert line.startswith("error:")
-        assert "REPRO_TIER" in line
 
 
 class TestNonTerminatingProgram:
@@ -194,3 +113,72 @@ class TestNonTerminatingProgram:
         line = one_clean_error_line(capsys)
         assert line.startswith("error:")
         assert "step limit" in line
+
+
+class TestUnreadableInput:
+    """An input file that cannot be read as text is a usage error."""
+
+    def test_non_utf8_file(self, tmp_path, capsys):
+        path = tmp_path / "latin1.tc"
+        path.write_bytes(b"def main() { return 0; } // caf\xe9\n")
+        assert main(["check", str(path)]) == 2
+        line = one_clean_error_line(capsys)
+        assert line.startswith("error: cannot read")
+        assert "UTF-8" in line
+
+    def test_directory(self, tmp_path, capsys):
+        assert main(["check", str(tmp_path)]) == 2
+        line = one_clean_error_line(capsys)
+        assert line.startswith("error: cannot read")
+
+
+class TestDeepNesting:
+    """Nesting deeper than the parser and lowering can recurse is a
+    compile error, not a ``RecursionError`` traceback."""
+
+    SHAPES = {
+        "parentheses": "def main() { return "
+        + "(" * 3000 + "1" + ")" * 3000 + "; }\n",
+        "ifs": "def main() { var x = 1;\n"
+        + "if (x) {\n" * 2000 + "x = 2;\n" + "}\n" * 2000
+        + "return x; }\n",
+        "sum_chain": "def main() { var x = 1; return x"
+        + " + 1" * 20000 + "; }\n",
+    }
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_check(self, shape, tmp_path, capsys):
+        path = tmp_path / f"{shape}.tc"
+        path.write_text(self.SHAPES[shape])
+        assert main(["check", str(path)]) == 2
+        line = one_clean_error_line(capsys)
+        assert line == "compile error: program nests too deeply"
+
+    def test_analyze_raises_syntax_error(self):
+        from repro.api import analyze
+        from repro.tinyc import TinyCSyntaxError
+
+        with pytest.raises(TinyCSyntaxError, match="nests too deeply"):
+            analyze(source=self.SHAPES["parentheses"])
+
+
+class TestOversizedAllocation:
+    """An allocation beyond the run's memory budget is a runtime fault,
+    reported before any cell of it is touched."""
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "def main() { var a[100000000000]; return 0; }\n",
+            "global g[100000000000];\ndef main() { return 0; }\n",
+        ],
+        ids=["local", "global"],
+    )
+    @pytest.mark.parametrize("command", ["run", "check"])
+    def test_faults(self, command, source, tmp_path, capsys):
+        path = tmp_path / "big.tc"
+        path.write_text(source)
+        assert main([command, str(path)]) == 2
+        line = one_clean_error_line(capsys)
+        assert line.startswith("runtime fault:")
+        assert "memory budget" in line

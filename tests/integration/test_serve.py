@@ -124,7 +124,7 @@ class TestServeParity:
         other = server.open(
             source=SOURCE,
             name="classify",
-            options=AnalysisOptions(tier="unified").as_dict(),
+            options=AnalysisOptions(demand=False).as_dict(),
         )
         assert other["digest"] != opened["digest"]
         assert server.query_sites(other["digest"]) == server.query_sites(
@@ -148,6 +148,13 @@ class TestServeErrors:
             server.open(source=SOURCE, options={"turbo": True})
         assert exc.value.status == 400
         assert "turbo" in exc.value.message
+        # The removed solver knobs are unknown options too.
+        for knob, value in (("jobs", 2), ("tier", "full"),
+                            ("storage", "int"), ("schedule", "wave")):
+            with pytest.raises(ServiceError) as exc:
+                server.open(source=SOURCE, options={knob: value})
+            assert exc.value.status == 400
+            assert exc.value.message == f"unknown analysis option(s): {knob}"
 
     def test_parse_error_is_400_one_line(self, server):
         with pytest.raises(ServiceError) as exc:
@@ -161,44 +168,13 @@ class TestServeErrors:
         assert exc.value.status == 404
 
 
-def child_pids(pid):
-    """Live processes whose parent is ``pid``, read from ``/proc``."""
-    children = set()
-    for entry in os.listdir("/proc"):
-        if not entry.isdigit():
-            continue
-        try:
-            with open(f"/proc/{entry}/stat") as stat:
-                fields = stat.read().rsplit(")", 1)[1].split()
-        except OSError:
-            continue  # exited while we looked
-        if int(fields[1]) == pid and fields[0] != "Z":
-            children.add(int(entry))
-    return children
-
-
-@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
-def test_sigterm_shuts_down_pool_workers():
-    proc, client = start_server(REPRO_JOBS="2")
-    workers = set()
+def test_sigterm_exits_cleanly():
+    proc, client = start_server()
     try:
-        opened = client.open(
-            source=SOURCE,
-            name="classify",
-            options=AnalysisOptions(demand=True).as_dict(),
-        )
-        client.query_sites(opened["digest"], jobs=2)
-        workers = child_pids(proc.pid)
-        assert workers, "the jobs=2 query started no resident pool"
+        client.open(source=SOURCE, name="classify")
         proc.send_signal(signal.SIGTERM)
         assert proc.wait(timeout=30) == 0
-        assert not {pid for pid in workers if os.path.exists(f"/proc/{pid}")}
     finally:
         if proc.poll() is None:
             proc.kill()
             proc.wait(timeout=10)
-        for pid in workers:  # reap what a failed shutdown left behind
-            try:
-                os.kill(pid, signal.SIGKILL)
-            except OSError:
-                pass

@@ -181,18 +181,12 @@ def _const_edit():
     The service has no function_text route, so reconstruct main's
     printed IR through an in-process session over the same source.
     """
-    from repro.options import AnalysisOptions
     from repro.service import AnalysisSession
 
-    session = AnalysisSession.from_source(
-        SOURCE, name="classify", options=AnalysisOptions()
-    )
-    try:
-        lines = session.function_text("main").splitlines()
-        for index, line in enumerate(lines):
-            if line.rstrip().endswith(":"):
-                lines.insert(index + 1, "    %__m0 := 0")
-                break
-        return "\n".join(lines)
-    finally:
-        session.close()
+    session = AnalysisSession.from_source(SOURCE, name="classify")
+    lines = session.function_text("main").splitlines()
+    for index, line in enumerate(lines):
+        if line.rstrip().endswith(":"):
+            lines.insert(index + 1, "    %__m0 := 0")
+            break
+    return "\n".join(lines)

@@ -9,6 +9,7 @@ from repro.api import (
     EXTENDED_CONFIG_ORDER,
     analyze,
 )
+from repro.options import AnalysisOptions
 from repro.runtime import CostModel, DynamicEvents, ExecutionReport
 from repro.tinyc import compile_source
 
@@ -83,7 +84,9 @@ class TestAnalysisAPI:
 
     def test_demand_mode_produces_identical_plans(self):
         eager = analyze(source=BUGGY_SOURCE)
-        lazy = analyze(source=BUGGY_SOURCE, demand=True)
+        lazy = analyze(
+            source=BUGGY_SOURCE, options=AnalysisOptions(demand=True)
+        )
         for config in eager.plans:
             assert (
                 eager.plans[config].count_propagations()
@@ -145,7 +148,9 @@ class TestDemandQueries:
 
     def test_summary_resolver_still_explains(self):
         analysis = analyze(
-            source=BUGGY_SOURCE, configs=["usher_tl_at"], resolver="summary"
+            source=BUGGY_SOURCE,
+            configs=["usher_tl_at"],
+            options=AnalysisOptions(resolver="summary"),
         )
         result = analysis.results["usher_tl_at"]
         bottom = next(
@@ -166,6 +171,13 @@ class TestRemovedShims:
         assert not hasattr(api, "analyze_module")
         with pytest.raises(ImportError):
             from repro.api import analyze_source  # noqa: F401
+
+    def test_options_are_the_only_knob_surface(self):
+        # demand / resolver / context_depth are options fields now, and
+        # the solver knobs are gone altogether.
+        for keyword in ("demand", "resolver", "context_depth", "jobs", "tier"):
+            with pytest.raises(TypeError):
+                analyze(source=SOURCE, **{keyword: None})
 
     def test_new_entry_point_does_not_warn(self):
         with _warnings.catch_warnings():

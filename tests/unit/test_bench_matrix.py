@@ -13,41 +13,34 @@ from repro.bench.matrix import (
 
 class TestCell:
     def test_name_encodes_every_axis_but_scale(self):
-        cell = Cell("164.gzip", "tl", "full", "int", "wave", 2, 0.5)
-        assert cell.name == "164.gzip/tl/full/int/wave/j2"
+        # The tail is the one solver setup every cell runs under.
+        cell = Cell("164.gzip", "tl", 0.5)
+        assert cell.name == "164.gzip/tl/full/int/wave/j1"
         assert "0.5" not in cell.name
 
     def test_analysis_config_mapping(self):
         for spec, config in SPEC_TO_CONFIG.items():
-            cell = Cell("w", spec, "full", "int", "wave", 1, 1.0)
+            cell = Cell("w", spec, 1.0)
             assert cell.analysis_config == config
 
     def test_identity_fields(self):
-        cell = Cell("456.hmmer", "opt_i", "unified", "compressed",
-                    "fifo", 4, 0.25)
+        cell = Cell("456.hmmer", "opt_i", 0.25)
         identity = cell.identity()
         assert identity["cell"] == cell.name
         assert identity["workload"] == "456.hmmer"
         assert identity["config"] == "opt_i"
-        assert identity["tier"] == "unified"
-        assert identity["storage"] == "compressed"
-        assert identity["schedule"] == "fifo"
-        assert identity["jobs"] == 4
+        assert identity["tier"] == "full"
+        assert identity["storage"] == "int"
+        assert identity["schedule"] == "wave"
+        assert identity["jobs"] == 1
         assert identity["scale"] == 0.25
 
 
 class TestExpansion:
     def test_full_cross_product(self):
-        spec = MatrixSpec(
-            workloads=("a", "b"),
-            configs=("tl", "full"),
-            tiers=("full", "unified"),
-            storages=("int",),
-            schedules=("wave",),
-            jobs=(1, 2),
-        )
+        spec = MatrixSpec(workloads=("a", "b"), configs=("tl", "full"))
         cells = spec.expand()
-        assert len(cells) == 2 * 2 * 2 * 1 * 1 * 2
+        assert len(cells) == 2 * 2
         assert len({cell.name for cell in cells}) == len(cells)
 
     def test_workload_major_deterministic_order(self):
@@ -57,9 +50,7 @@ class TestExpansion:
         assert all(n.startswith("a/") for n in names[: len(names) // 2])
 
     def test_duplicate_axis_values_collapse(self):
-        spec = MatrixSpec(
-            workloads=("a", "a", "b"), configs=("tl", "tl"), tiers=("full",)
-        )
+        spec = MatrixSpec(workloads=("a", "a", "b"), configs=("tl", "tl"))
         cells = spec.expand()
         assert [cell.name for cell in cells] == [
             "a/tl/full/int/wave/j1",
@@ -67,11 +58,10 @@ class TestExpansion:
         ]
 
     def test_default_axes_cover_acceptance_matrix(self):
-        # The paper's four Usher configs x the two eager tiers.
+        # The paper's four Usher configs.
         spec = MatrixSpec(workloads=("w",))
         assert spec.configs == ("tl", "tl_at", "opt_i", "full")
-        assert spec.tiers == ("full", "unified")
-        assert len(spec.expand()) == 8
+        assert len(spec.expand()) == 4
 
 
 class TestValidation:
@@ -79,27 +69,9 @@ class TestValidation:
         with pytest.raises(BenchSpecError, match="unknown config"):
             MatrixSpec(workloads=("w",), configs=("tl", "bogus"))
 
-    def test_unknown_tier_rejected(self):
-        with pytest.raises(BenchSpecError, match="unknown tier"):
-            MatrixSpec(workloads=("w",), tiers=("warp",))
-
-    def test_unknown_storage_rejected(self):
-        with pytest.raises(BenchSpecError, match="unknown storage"):
-            MatrixSpec(workloads=("w",), storages=("sparse",))
-
-    def test_unknown_schedule_rejected(self):
-        with pytest.raises(BenchSpecError, match="unknown schedule"):
-            MatrixSpec(workloads=("w",), schedules=("lifo",))
-
     def test_empty_workloads_rejected(self):
         with pytest.raises(BenchSpecError, match="empty workloads"):
             MatrixSpec(workloads=())
-
-    def test_bad_jobs_rejected(self):
-        with pytest.raises(BenchSpecError, match="jobs"):
-            MatrixSpec(workloads=("w",), jobs=(0,))
-        with pytest.raises(BenchSpecError, match="jobs"):
-            MatrixSpec(workloads=("w",), jobs=())
 
     def test_bad_scale_rejected(self):
         with pytest.raises(BenchSpecError, match="scale"):
@@ -107,29 +79,17 @@ class TestValidation:
 
     def test_every_config_spec_is_accepted(self):
         spec = MatrixSpec(workloads=("w",), configs=CONFIG_SPECS)
-        assert len(spec.expand()) == len(CONFIG_SPECS) * 2
+        assert len(spec.expand()) == len(CONFIG_SPECS)
 
 
 class TestFromArgs:
     def test_parses_comma_lists(self):
         spec = MatrixSpec.from_args(
-            workloads=["a", "b"],
-            configs="tl, full",
-            tiers="full",
-            storages="int,compressed",
-            schedules="wave,fifo",
-            jobs="1,2",
-            scale=0.25,
+            workloads=["a", "b"], configs="tl, full", scale=0.25
         )
+        assert spec.workloads == ("a", "b")
         assert spec.configs == ("tl", "full")
-        assert spec.storages == ("int", "compressed")
-        assert spec.schedules == ("wave", "fifo")
-        assert spec.jobs == (1, 2)
         assert spec.scale == 0.25
-
-    def test_rejects_non_integer_jobs(self):
-        with pytest.raises(BenchSpecError, match="jobs"):
-            MatrixSpec.from_args(workloads=["a"], jobs="two")
 
     def test_rejects_empty_axis_string(self):
         with pytest.raises(BenchSpecError, match="empty configs"):

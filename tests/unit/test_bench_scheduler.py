@@ -11,30 +11,20 @@ import time
 
 import pytest
 
-from repro.analysis.parallel import fork_available
 from repro.bench import matrix as matrix_mod
 from repro.bench import scheduler
 from repro.bench.matrix import BenchSpecError, Cell, MatrixSpec
 from repro.bench.scheduler import (
     error_row,
+    fork_available,
     resolve_workload,
     run_cell,
     run_matrix,
 )
 
 
-def _cell(workload="164.gzip", config="tl", **overrides):
-    fields = dict(
-        workload=workload,
-        config=config,
-        tier="full",
-        storage="int",
-        schedule="wave",
-        jobs=1,
-        scale=0.05,
-    )
-    fields.update(overrides)
-    return Cell(**fields)
+def _cell(workload="164.gzip", config="tl"):
+    return Cell(workload=workload, config=config, scale=0.05)
 
 
 class TestResolveWorkload:
@@ -73,17 +63,6 @@ class TestRunCell:
             assert row["status"] == "ok"
             assert tuple(row["warned_uids"]) == seed.pinned_warnings(spec)
 
-    def test_results_identical_across_tiers(self):
-        rows = {
-            tier: run_cell(_cell(tier=tier))
-            for tier in ("full", "unified", "lazy")
-        }
-        baseline = rows["full"]
-        for tier, row in rows.items():
-            assert row["warned_uids"] == baseline["warned_uids"], tier
-            assert row["checks"] == baseline["checks"], tier
-            assert row["propagations"] == baseline["propagations"], tier
-
     def test_error_row_shape(self):
         row = error_row(_cell(), "boom", elapsed=1.5)
         assert row["status"] == "error"
@@ -109,7 +88,7 @@ class TestCrashIsolation:
     def test_serial_run_survives_a_raising_cell(self, explosive):
         cells = MatrixSpec(
             workloads=("164.gzip",), configs=("tl", "full", "opt_i"),
-            tiers=("full",), scale=0.05,
+            scale=0.05,
         ).expand()
         rows = run_matrix(cells, pool=1)
         assert [row["status"] for row in rows] == ["ok", "error", "ok"]
@@ -121,7 +100,7 @@ class TestCrashIsolation:
     def test_pooled_run_survives_a_raising_cell(self, explosive):
         cells = MatrixSpec(
             workloads=("164.gzip",), configs=("tl", "full", "opt_i"),
-            tiers=("full",), scale=0.05,
+            scale=0.05,
         ).expand()
         rows = run_matrix(cells, pool=2, timeout=60)
         assert [row["status"] for row in rows] == ["ok", "error", "ok"]
@@ -142,7 +121,7 @@ class TestCrashIsolation:
         monkeypatch.setattr(scheduler, "run_cell", patched)
         cells = MatrixSpec(
             workloads=("164.gzip",), configs=("tl", "full"),
-            tiers=("full",), scale=0.05,
+            scale=0.05,
         ).expand()
         rows = run_matrix(cells, pool=2, timeout=60)
         assert rows[0]["status"] == "ok"
@@ -163,7 +142,7 @@ class TestCrashIsolation:
         monkeypatch.setattr(scheduler, "run_cell", patched)
         cells = MatrixSpec(
             workloads=("164.gzip",), configs=("tl", "full"),
-            tiers=("full",), scale=0.05,
+            scale=0.05,
         ).expand()
         started = time.monotonic()
         rows = run_matrix(cells, pool=2, timeout=1.0)
@@ -183,7 +162,7 @@ class TestRowsMatchAcrossExecutionModes:
     def test_serial_and_pooled_rows_agree_on_counters(self):
         cells = MatrixSpec(
             workloads=("164.gzip", "seed63"), configs=("tl",),
-            tiers=("full",), scale=0.05,
+            scale=0.05,
         ).expand()
         serial = run_matrix(cells, pool=1)
         pooled = run_matrix(cells, pool=2, timeout=60)

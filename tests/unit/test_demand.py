@@ -179,61 +179,6 @@ class TestLazyDefinedness:
         assert lazy.gamma(None) == "⊤"
 
 
-class TestThunkedVFG:
-    """The lazy tier hands the engine a VFG *thunk*; nothing may build
-    until a query actually needs the graph."""
-
-    def test_thunk_deferred_until_first_query(self, setup):
-        _prepared, result = setup
-        built = []
-
-        def thunk():
-            built.append(True)
-            return result.vfg
-
-        engine = DemandEngine(thunk)
-        assert not built
-        assert engine.stats.graph_nodes == 0
-        site = next(s for s in result.vfg.check_sites if s.node is not None)
-        verdict = engine.is_defined(site.node)
-        assert built == [True]
-        assert engine.stats.graph_nodes == result.vfg.num_nodes
-        assert verdict == DemandEngine(result.vfg).is_defined(site.node)
-
-    def test_thunk_runs_exactly_once(self, setup):
-        _prepared, result = setup
-        calls = []
-
-        def thunk():
-            calls.append(True)
-            return result.vfg
-
-        engine = DemandEngine(thunk)
-        engine.query_sites(result.vfg.check_sites)
-        engine.query_sites(result.vfg.check_sites)
-        assert calls == [True]
-        assert engine.vfg is result.vfg
-
-    def test_thunk_forced_in_parent_before_parallel_fanout(self, setup):
-        """With jobs > 1 the batch forks workers; the thunk must still
-        run exactly once *in the parent* (the workers inherit the built
-        graph copy-on-write), not once per worker and never here."""
-        _prepared, result = setup
-        calls = []
-
-        def thunk():
-            calls.append(True)
-            return result.vfg
-
-        engine = DemandEngine(thunk)
-        verdicts = engine.query_sites(result.vfg.check_sites, jobs=2)
-        assert calls == [True]
-        assert engine.vfg is result.vfg
-        assert verdicts == DemandEngine(result.vfg).query_sites(
-            result.vfg.check_sites
-        )
-
-
 class TestDemandExplain:
     def test_same_path_length_as_oracle_bfs(self, setup):
         prepared, result = setup

@@ -96,7 +96,7 @@ def test_malformed_log_is_an_error(tmp_path):
     assert "bad JSON" in result.stderr
 
 
-# -- tiered-solving records -----------------------------------------------
+# -- legacy tiered-solving records ----------------------------------------
 
 
 def _tier_record(pops, unified, tier="unified", **overrides):
@@ -143,43 +143,6 @@ def test_tier_row_fails_on_pops_regression(tmp_path):
     )
     assert result.returncode == 1
     assert "pops" in result.stdout
-
-
-def test_tier_row_fails_on_unified_nodes_collapse(tmp_path):
-    # unified_nodes gates in the inverted direction: a 2x+ *drop* means
-    # the Steensgaard pre-collapse quietly stopped unifying.
-    result = _run_gate(
-        tmp_path, [_tier_record(1000, 3800), _tier_record(1100, 900)]
-    )
-    assert result.returncode == 1
-    assert "unified_nodes" in result.stdout
-    assert "stopped unifying" in result.stdout
-
-
-def test_tier_row_unified_nodes_to_zero_fails(tmp_path):
-    result = _run_gate(
-        tmp_path, [_tier_record(1000, 3800), _tier_record(1100, 0)]
-    )
-    assert result.returncode == 1
-    assert "unified_nodes" in result.stdout
-
-
-def test_tier_row_unified_nodes_growth_passes(tmp_path):
-    # More unification than last run is strictly good.
-    result = _run_gate(
-        tmp_path, [_tier_record(1000, 1800), _tier_record(900, 3900)]
-    )
-    assert result.returncode == 0
-
-
-def test_unified_nodes_not_gated_outside_tier_benchmarks(tmp_path):
-    # solver_scalability rows carry the counter too (as_dict dumps every
-    # field) but only the solver_tier_* rows assert pre-collapse health.
-    result = _run_gate(
-        tmp_path,
-        [_record(100, 200, unified_nodes=500), _record(110, 210, unified_nodes=0)],
-    )
-    assert result.returncode == 0
 
 
 # -- demand-query records -------------------------------------------------

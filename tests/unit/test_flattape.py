@@ -1,11 +1,9 @@
-"""Flat constraint-tape encode/decode and shared-memory lifecycle.
+"""Flat constraint-tape encode/decode.
 
-The word tape (:mod:`repro.analysis.shardgen` encoding, wrapped for
-transport by :class:`repro.service.pool.FlatTape`) is the only thing
-that crosses the worker/parent boundary for constraint generation, so
-its round-trip must be exact on every edge case — empty tapes, extreme
-ids, truncated buffers — and the shared-memory segments backing it must
-never outlive a failed batch (the degrade-to-serial leak regression).
+The word tape (:mod:`repro.analysis.shardgen` encoding) is what the
+session caches per function and replays into the solver, so its
+round-trip must be exact on every edge case — empty tapes, extreme
+ids, truncated buffers.
 """
 
 from array import array
@@ -20,7 +18,6 @@ from repro.analysis.andersen import (
     OP_PTS,
     OP_STORE,
 )
-from repro.analysis.parallel import fork_available
 from repro.analysis.shardgen import (
     GEP_NONE,
     ShardResult,
@@ -28,26 +25,9 @@ from repro.analysis.shardgen import (
     encode_ops,
     iter_ops,
 )
-from repro.service.pool import (
-    FlatTape,
-    ResidentPool,
-    discard_ops_payload,
-)
-from tests.helpers import random_module
 
 #: Largest shard-local id the tape must carry losslessly (int64 max).
 MAX_ID = 2**63 - 1
-
-
-def _attachable(name: str) -> bool:
-    from multiprocessing import shared_memory
-
-    try:
-        shm = shared_memory.SharedMemory(name=name)
-    except FileNotFoundError:
-        return False
-    shm.close()
-    return True
 
 
 class TestEncodeDecodeRoundTrip:
@@ -133,76 +113,3 @@ class TestTruncationRejection:
         words = array("q", [424242, 0, 0])
         with pytest.raises(ValueError, match="unknown op tag"):
             decode_words(words)
-
-
-class TestSharedMemoryTransport:
-    def test_publish_attach_pin_round_trip(self):
-        ops = [(OP_PTS, 1, 2), (OP_GEP, MAX_ID, 3, None)]
-        tape = FlatTape.from_ops(ops)
-        name, nwords = tape.to_shared_memory()
-        received = FlatTape.attach(name, nwords).pin()
-        assert decode_words(received.words) == ops
-        assert not _attachable(name)  # pin consumed the segment
-
-    def test_discard_unlinks_unconsumed_payload(self):
-        name, nwords = FlatTape.from_ops([(OP_COPY, 1, 2)]).to_shared_memory()
-        assert _attachable(name)
-        discard_ops_payload(("shm", name, nwords))
-        assert not _attachable(name)
-
-    def test_discard_tolerates_gone_segment_and_inline_payload(self):
-        discard_ops_payload(("shm", "psm_definitely_not_there", 3))
-        discard_ops_payload(("ops", array("q", [OP_COPY, 1, 2])))
-
-
-@pytest.mark.skipif(not fork_available(), reason="needs fork")
-class TestPoolTapeLifecycle:
-    def test_collect_tapes_matches_serial_generation(self):
-        module = random_module(11)
-        names = list(module.functions)
-        with ResidentPool(2, module=module) as pool:
-            shards = pool.collect_tapes(names, frozenset(), set())
-        assert shards is not None and set(shards) == set(names)
-        from repro.analysis.shardgen import _collector_class
-
-        for name in names:
-            serial = _collector_class()(
-                module, frozenset(), set(), [name]
-            ).result_shard
-            assert list(shards[name].words) == list(serial.words)
-            assert shards[name].syms == serial.syms
-
-    def test_failed_batch_scavenges_segments(self, monkeypatch):
-        # Regression: a mid-batch failure used to strand the published
-        # tape segments (workers unregister them from their resource
-        # tracker, so nothing ever reclaimed the files).  The scavenge
-        # path must unlink everything the failed batch shipped.
-        import repro.service.pool as pool_mod
-
-        module = random_module(12)
-        names = list(module.functions)
-        discarded = []
-        real_discard = pool_mod.discard_ops_payload
-
-        def spying_discard(payload):
-            discarded.append(payload)
-            real_discard(payload)
-
-        def exploding_loads(blob):
-            raise RuntimeError("injected mid-batch failure")
-
-        monkeypatch.setattr(pool_mod, "discard_ops_payload", spying_discard)
-        pool = ResidentPool(2, module=module)
-        pool.start()
-        try:
-            monkeypatch.setattr(pool_mod.pickle, "loads", exploding_loads)
-            result = pool.collect_tapes(names, frozenset(), set())
-        finally:
-            monkeypatch.undo()
-            pool.shutdown()
-        assert result is None  # degraded to serial
-        assert not pool.started  # pool shut itself down
-        shipped = [p for p in discarded if p[0] == "shm"]
-        assert shipped, "expected at least one shared-memory payload"
-        for payload in shipped:
-            assert not _attachable(payload[1])

@@ -76,6 +76,30 @@ class TestAllocationLayout:
         assert run(source).exit_value == 6
 
 
+class TestMemoryBudget:
+    def test_oversized_array_faults_before_touching_cells(self):
+        source = "def main() { var a[100000000000]; return 0; }"
+        with pytest.raises(RuntimeFault, match="memory budget"):
+            run(source)
+
+    def test_budget_counts_every_allocation_of_the_run(self, monkeypatch):
+        from repro.runtime import interpreter
+
+        monkeypatch.setattr(interpreter, "MAX_CELLS", 64)
+        source = """
+        def main() {
+          var i = 0;
+          while (i < %d) { var p = calloc(8); p[0] = i; i = i + 1; }
+          return i;
+        }
+        """
+        # Nothing is freed: each 8-cell object takes 9 addresses with
+        # its red zone, so three fit and ten cannot.
+        assert run(source % 3).exit_value == 3
+        with pytest.raises(RuntimeFault, match="64-cell memory budget"):
+            run(source % 10)
+
+
 class TestPointerFaults:
     def test_deref_of_integer_faults(self):
         source = """

@@ -1,23 +1,15 @@
-"""Unit tests for the consolidated :class:`AnalysisOptions` record.
-
-One resolution path for every knob: explicit argument > session
-default (:func:`session_options`) > environment (``REPRO_JOBS`` /
-``REPRO_TIER``) > built-in default.  These tests pin each layer, the
-eager construction-time validation, and the JSON round-trip used by
-``repro serve``.
+"""Unit tests for the consolidated :class:`AnalysisOptions` record:
+eager construction-time validation, the JSON round-trip used by
+``repro serve``, and the CLI flags that build it.
 """
 
 import pytest
 
-from repro.analysis.parallel import InvalidJobsError, resolve_jobs
-from repro.analysis.tiers import InvalidTierError, resolve_tier
-from repro.options import (
-    AnalysisOptions,
-    options_from_args,
-    session_options,
-    validate_jobs_arg,
-    validate_tier_arg,
-)
+from repro.cli import main
+from repro.options import AnalysisOptions, options_from_args
+
+#: Solver knobs the options record (and the CLI) no longer accept.
+REMOVED_KNOBS = {"tier": "full", "jobs": 2, "storage": "int", "schedule": "wave"}
 
 
 class TestValidation:
@@ -25,19 +17,9 @@ class TestValidation:
         options = AnalysisOptions()
         assert options.as_dict() == {}
 
-    def test_bad_tier_fails_at_construction(self):
-        with pytest.raises(InvalidTierError):
-            AnalysisOptions(tier="warp")
-
-    def test_bad_jobs_fails_at_construction(self):
-        with pytest.raises(InvalidJobsError):
-            AnalysisOptions(jobs=0)
-
-    def test_bad_resolver_and_schedule(self):
+    def test_bad_resolver(self):
         with pytest.raises(ValueError):
             AnalysisOptions(resolver="psychic")
-        with pytest.raises(ValueError):
-            AnalysisOptions(schedule="lifo")
 
     def test_bad_demand_and_context_depth(self):
         with pytest.raises(ValueError):
@@ -46,112 +28,76 @@ class TestValidation:
             AnalysisOptions(context_depth=-1)
 
     def test_frozen(self):
-        options = AnalysisOptions(tier="full")
+        options = AnalysisOptions(resolver="summary")
         with pytest.raises(AttributeError):
-            options.tier = "lazy"
+            options.resolver = "callstring"
+
+    def test_four_fields(self):
+        options = AnalysisOptions(
+            demand=True, resolver="summary", config="usher", context_depth=2
+        )
+        assert set(options.as_dict()) == {
+            "demand", "resolver", "config", "context_depth"
+        }
 
 
 class TestCombinators:
     def test_merged_applies_only_non_none(self):
-        base = AnalysisOptions(tier="lazy", jobs=2)
-        merged = base.merged(tier=None, jobs=4, demand=True)
-        assert merged == AnalysisOptions(tier="lazy", jobs=4, demand=True)
+        base = AnalysisOptions(resolver="summary", context_depth=2)
+        merged = base.merged(resolver=None, context_depth=3, demand=True)
+        assert merged == AnalysisOptions(
+            resolver="summary", context_depth=3, demand=True
+        )
         # No overrides → the same (immutable) record comes back.
         assert base.merged() is base
 
-    def test_or_keywords_field_wins(self):
-        options = AnalysisOptions(tier="unified")
-        resolved = options.or_keywords(tier="full", jobs=8)
-        assert resolved == {"tier": "unified", "jobs": 8}
-
     def test_dict_round_trip(self):
-        options = AnalysisOptions(tier="lazy", jobs=3, demand=True)
+        options = AnalysisOptions(resolver="summary", context_depth=3, demand=True)
         assert AnalysisOptions.from_dict(options.as_dict()) == options
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown analysis option"):
-            AnalysisOptions.from_dict({"tier": "full", "turbo": True})
+            AnalysisOptions.from_dict({"resolver": "summary", "turbo": True})
+        for knob, value in REMOVED_KNOBS.items():
+            with pytest.raises(
+                ValueError, match=f"^unknown analysis option\\(s\\): {knob}$"
+            ):
+                AnalysisOptions.from_dict({knob: value})
 
     def test_from_dict_empty(self):
         assert AnalysisOptions.from_dict(None) == AnalysisOptions()
         assert AnalysisOptions.from_dict({}) == AnalysisOptions()
 
 
-class TestResolutionOrder:
-    """explicit > session default > environment > built-in default."""
-
-    def test_builtin_defaults(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TIER", raising=False)
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
-        assert resolve_tier(None) == "full"
-        assert resolve_jobs(None) == 1
-
-    def test_environment_layer(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TIER", "unified")
-        monkeypatch.setenv("REPRO_JOBS", "3")
-        assert resolve_tier(None) == "unified"
-        assert resolve_jobs(None) == 3
-
-    def test_session_layer_beats_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TIER", "unified")
-        monkeypatch.setenv("REPRO_JOBS", "3")
-        with session_options(AnalysisOptions(tier="lazy", jobs=2)):
-            assert resolve_tier(None) == "lazy"
-            assert resolve_jobs(None) == 2
-        # Exiting the context restores the environment layer.
-        assert resolve_tier(None) == "unified"
-        assert resolve_jobs(None) == 3
-
-    def test_explicit_beats_session(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TIER", raising=False)
-        with session_options(AnalysisOptions(tier="lazy")):
-            assert resolve_tier("full") == "full"
-
-    def test_none_fields_pass_through(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TIER", "unified")
-        with session_options(AnalysisOptions(jobs=2)):
-            # tier was left None: the environment layer still answers.
-            assert resolve_tier(None) == "unified"
-
-    def test_session_options_none_is_noop(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TIER", raising=False)
-        with session_options(None):
-            assert resolve_tier(None) == "full"
-
-
 class TestCliBoundary:
-    def test_validate_args_reject_typos(self):
-        with pytest.raises(InvalidJobsError):
-            validate_jobs_arg("banana")
-        with pytest.raises(InvalidTierError):
-            validate_tier_arg("warp")
-
-    def test_validate_args_reject_malformed_environment(self, monkeypatch):
-        # No flag given: a malformed environment variable is still a
-        # boundary error, not a mid-analysis crash.
-        monkeypatch.setenv("REPRO_JOBS", "-2")
-        with pytest.raises(InvalidJobsError):
-            validate_jobs_arg(None)
-        monkeypatch.setenv("REPRO_TIER", "warp")
-        with pytest.raises(InvalidTierError):
-            validate_tier_arg(None)
-
-    def test_options_from_args(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TIER", raising=False)
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
-
+    def test_options_from_args(self):
         class Args:
-            jobs = "2"
-            tier = "lazy"
             demand = True
             config = "usher"
 
         options = options_from_args(Args())
-        assert options == AnalysisOptions(
-            jobs=2, tier="lazy", demand=True, config="usher"
-        )
+        assert options == AnalysisOptions(demand=True, config="usher")
 
         class Bare:
             pass
 
         assert options_from_args(Bare()) == AnalysisOptions()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "prog.tc", "--tier", "full"],
+            ["check", "prog.tc", "--jobs", "2"],
+            ["check", "prog.tc", "--storage", "int"],
+            ["report", "--tier", "full"],
+            ["fuzz", "--jobs", "2"],
+            ["serve", "--tier", "full"],
+            ["bench", "--tiers", "full"],
+            ["bench", "--jobs-axis", "1"],
+        ],
+    )
+    def test_removed_flags_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -6,10 +6,12 @@ to ``benchmarks/results/solver_stats.jsonl``, and
 ``benchmarks/test_demand_queries.py`` does the same per demand-query
 batch to ``benchmarks/results/query_stats.jsonl``.  This tool groups a
 log by workload key — ``(benchmark, seed, factor, solver, tier,
-storage)`` for solver records, ``(benchmark, seed, factor, resolver)`` for query
-records (auto-detected per line: query records carry a ``resolver``
-field; solver records written before the tiered solving stack default
-to tier ``full``) — and compares the most recent entry of each group
+storage)`` for solver records, ``(benchmark, seed, factor, resolver)``
+for query records (auto-detected per line: query records carry a
+``resolver`` field).  The solver had alternative tiers and storages
+once; rows that lack those fields group with the ``full`` / ``int``
+rows of that time, and the rest keep their own closed histories.  It
+compares the most recent entry of each group
 against the one before it: if the same workload suddenly does more than
 ``--max-ratio`` times the work, a performance regression slipped in and
 the gate fails.
@@ -31,20 +33,9 @@ noisy):
   memory profile when recorded — points-to representation bytes
   (``bytes_pts``) and ``peak_rss`` (rows written before the memory
   counters existed simply lack the fields and are skipped);
-- ``solver_tier_*`` benchmark rows additionally gate ``unified_nodes``
-  in the *inverted* direction — the Steensgaard pre-collapse merging
-  ``--max-ratio`` times *fewer* nodes than last run means the unified
-  tier quietly stopped pre-collapsing (its whole point), which the
-  ``pops`` gate alone would take one extra run to notice;
 - query records: ``peak_visited_fraction`` (largest single-query share
   of the VFG visited) and ``states_per_query`` (derived:
   ``states_visited / queries``);
-- service records (``benchmarks/test_service.py`` →
-  ``benchmarks/results/service_stats.jsonl``, detected by their
-  ``resident_seconds`` field) are gated *within* the newest entry:
-  the resident worker pool's batched ``query_sites`` must beat the
-  serial path (``resident_seconds < serial_seconds``), or the pool
-  lost its point;
 - bench records (``repro bench`` →
   ``benchmarks/results/bench_stats.jsonl``, stamped ``"kind":
   "bench"``, grouped by their ``cell`` name) gate ``status``,
@@ -88,10 +79,6 @@ QUERY_METRICS = ("peak_visited_fraction", "states_per_query")
 #: deterministic; ``peak_rss`` is close enough — a >2x RSS jump on the
 #: same workload is a leak or a representation regression, not noise).
 MEM_METRICS = ("bytes_pts", "peak_rss")
-
-#: Counters where *shrinking* is the regression (gated only on
-#: ``solver_tier_*`` benchmark rows, where the pre-collapse runs).
-TIER_INVERTED_METRICS = ("unified_nodes",)
 
 #: Bench-cell fields gated for exact equality (deterministic detection
 #: results and static instrumentation), and for the work ratio.
@@ -163,12 +150,9 @@ def check_wall(
 
 def record_kind(record: dict) -> str:
     """``"bench"`` for ``repro bench`` cell rows (explicitly stamped),
-    ``"service"`` for resident-pool benchmark records, ``"query"`` for
-    demand-query records, ``"solver"`` otherwise."""
+    ``"query"`` for demand-query records, ``"solver"`` otherwise."""
     if record.get("kind") == "bench":
         return "bench"
-    if "resident_seconds" in record:
-        return "service"
     return "query" if "resolver" in record else "solver"
 
 
@@ -194,16 +178,6 @@ def load_groups(path: Path, kind: str = "auto") -> Dict[GroupKey, List[dict]]:
                 continue
             if this_kind == "bench":
                 key: GroupKey = (this_kind, record.get("cell"))
-                groups.setdefault(key, []).append(record)
-                continue
-            if this_kind == "service":
-                key: GroupKey = (
-                    this_kind,
-                    record.get("benchmark"),
-                    record.get("seed"),
-                    record.get("factor"),
-                    record.get("jobs"),
-                )
                 groups.setdefault(key, []).append(record)
                 continue
             if this_kind == "query":
@@ -243,9 +217,7 @@ def check_group(
     wall_ratio: "Optional[float]" = None,
     wall_floor: float = WALL_FLOOR_SECONDS,
 ) -> List[str]:
-    """Compare the newest entry against its predecessor (service
-    records instead gate *within* their newest entry: the resident
-    pool must beat the serial path, or the pool lost its point).
+    """Compare the newest entry against its predecessor.
     ``wall_ratio``, when given, additionally wall-gates schema-stamped
     rows via :func:`check_wall`."""
     if key[0] == "bench":
@@ -276,21 +248,6 @@ def check_group(
                     f"(> {max_ratio:.2f}x allowed)"
                 )
         return problems
-    if key[0] == "service":
-        latest = history[-1]
-        label = "/".join(str(part) for part in key[1:])
-        resident = latest.get("resident_seconds")
-        serial = latest.get("serial_seconds")
-        if not isinstance(resident, (int, float)) or not isinstance(
-            serial, (int, float)
-        ):
-            return [f"{label}: service record lacks resident/serial timings"]
-        if resident >= serial:
-            return [
-                f"{label}: resident pool ({resident:.4f}s) did not beat "
-                f"serial ({serial:.4f}s) — the pool lost to the fallback"
-            ]
-        return []
     if len(history) < 2:
         return []
     previous, latest = history[-2], history[-1]
@@ -320,26 +277,6 @@ def check_group(
                 f"{label}: {metric} regressed {before} -> {after} "
                 f"({ratio:.2f}x > {max_ratio:.2f}x allowed)"
             )
-    benchmark = key[1] if len(key) > 1 else None
-    if key[0] == "solver" and isinstance(benchmark, str) and benchmark.startswith(
-        "solver_tier"
-    ):
-        for metric in TIER_INVERTED_METRICS:
-            before = previous.get(metric)
-            after = latest.get(metric)
-            if not isinstance(before, (int, float)) or not isinstance(
-                after, (int, float)
-            ):
-                continue
-            if before <= 0:
-                continue
-            drop = before / after if after > 0 else float("inf")
-            if drop > max_ratio:
-                problems.append(
-                    f"{label}: {metric} collapsed {before} -> {after} "
-                    f"({drop:.2f}x shrink > {max_ratio:.2f}x allowed — "
-                    "the pre-collapse stopped unifying)"
-                )
     return problems
 
 
@@ -361,7 +298,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--kind",
-        choices=("auto", "solver", "query", "service", "bench"),
+        choices=("auto", "solver", "query", "bench"),
         default="auto",
         help="restrict to one record kind (default: auto-detect per "
         "line and gate all)",
@@ -435,8 +372,6 @@ def main(argv=None) -> int:
     kinds = {key[0] for key in groups}
     if kinds == {"query"}:
         label = "query-stats"
-    elif kinds == {"service"}:
-        label = "service-stats"
     elif kinds == {"bench"}:
         label = "bench-stats"
     else:
