@@ -2,7 +2,8 @@
 
 Every malformed input — config specs, seed ranges, budgets, unreadable
 files — must produce exit code 2 and a single-line message on stderr,
-never a traceback.
+never a traceback.  A flag the CLI does not have (such as the removed
+``--jobs`` and ``--tier``) is an argparse usage error, also exit 2.
 """
 
 import pytest
@@ -31,6 +32,53 @@ def one_clean_error_line(capsys):
     lines = [line for line in err.splitlines() if line.strip()]
     assert len(lines) == 1, err
     return lines[0]
+
+
+def rejected_flag_line(argv, flag, capsys):
+    """A flag the CLI does not have is an argparse usage error: exit 2,
+    the usage text and one ``error:`` line naming the flag."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1, err
+    assert f"unrecognized arguments: {flag}" in errors[0]
+    return errors[0]
+
+
+class TestJobsValidation:
+    """``--jobs`` is gone with the solver knobs: every value is
+    rejected before any analysis runs."""
+
+    @pytest.mark.parametrize("bad", ["banana", "0", "-3", "2.5", ""])
+    def test_invalid_jobs_flag(self, clean_file, bad, capsys):
+        rejected_flag_line(["check", clean_file, "--jobs", bad], "--jobs", capsys)
+
+    def test_report_validates_jobs_too(self, capsys):
+        rejected_flag_line(
+            ["report", "--scale", "0.05", "--jobs", "nope"], "--jobs", capsys
+        )
+
+
+class TestTierValidation:
+    """``--tier`` is gone with the solver knobs: every value is
+    rejected before any analysis runs."""
+
+    @pytest.mark.parametrize("bad", ["turbo", "0", "", "fulll"])
+    def test_invalid_tier_flag(self, clean_file, bad, capsys):
+        rejected_flag_line(["check", clean_file, "--tier", bad], "--tier", capsys)
+
+    def test_report_validates_tier_too(self, capsys):
+        rejected_flag_line(
+            ["report", "--scale", "0.05", "--tier", "nope"], "--tier", capsys
+        )
+
+    def test_fuzz_validates_tier_too(self, capsys):
+        rejected_flag_line(
+            ["fuzz", "--seeds", "0:1", "--tier", "nope"], "--tier", capsys
+        )
 
 
 class TestFuzzArgValidation:
@@ -62,6 +110,11 @@ class TestFuzzArgValidation:
         assert main(["fuzz", "--seeds", "0:1", "--budget", bad]) == 2
         assert "budget" in one_clean_error_line(capsys)
 
+    def test_invalid_jobs(self, capsys):
+        rejected_flag_line(
+            ["fuzz", "--seeds", "0:1", "--jobs", "many"], "--jobs", capsys
+        )
+
     def test_missing_module_file(self, capsys):
         assert main(["fuzz", "--seeds", "", "--module",
                      "/nonexistent/mod.ir"]) == 2
@@ -72,6 +125,17 @@ class TestFuzzArgValidation:
         bad.write_text("def main() {\nentry:\n    this is not ir\n}\n")
         assert main(["fuzz", "--seeds", "", "--module", str(bad)]) == 2
         assert one_clean_error_line(capsys).startswith("invalid module:")
+
+
+class TestServeArgValidation:
+    """``repro serve`` rejects the removed flags before any socket is
+    bound."""
+
+    def test_invalid_jobs_flag(self, capsys):
+        rejected_flag_line(["serve", "--jobs", "banana"], "--jobs", capsys)
+
+    def test_invalid_tier_flag(self, capsys):
+        rejected_flag_line(["serve", "--tier", "warp"], "--tier", capsys)
 
 
 class TestNonTerminatingProgram:

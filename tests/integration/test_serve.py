@@ -168,13 +168,45 @@ class TestServeErrors:
         assert exc.value.status == 404
 
 
-def test_sigterm_exits_cleanly():
+def child_pids(pid):
+    """Live processes whose parent is ``pid``, read from ``/proc``."""
+    children = set()
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as stat:
+                fields = stat.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue  # exited while we looked
+        if int(fields[1]) == pid and fields[0] != "Z":
+            children.add(int(entry))
+    return children
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+def test_sigterm_shuts_down_pool_workers():
+    """SIGTERM takes the Ctrl-C path: exit 0, and no process the server
+    started outlives it."""
     proc, client = start_server()
+    workers = set()
     try:
-        client.open(source=SOURCE, name="classify")
+        opened = client.open(
+            source=SOURCE,
+            name="classify",
+            options=AnalysisOptions(demand=True).as_dict(),
+        )
+        client.query_sites(opened["digest"])
+        workers = child_pids(proc.pid)
         proc.send_signal(signal.SIGTERM)
         assert proc.wait(timeout=30) == 0
+        assert not {pid for pid in workers if os.path.exists(f"/proc/{pid}")}
     finally:
         if proc.poll() is None:
             proc.kill()
             proc.wait(timeout=10)
+        for pid in workers:  # reap what a failed shutdown left behind
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except OSError:
+                pass

@@ -1,44 +1,34 @@
-"""Differential suite: parallelism and scheduling are invisible.
+"""Differential suite: wave scheduling and per-function tapes are invisible.
 
-The contract of this repo's whole parallel/scheduling surface — wave
-propagation in the :class:`~repro.analysis.andersen.DeltaSolver`,
-process-sharded constraint generation, and batched parallel demand
-queries — is that it changes *only* wall-clock and work profiles, never
-results.  Checked here over the bundled workloads, hypothesis-generated
-programs and the pointer-heavy corpus:
+Two parts of the pointer solver change only the work profile, never
+the result:
 
-* ``analyze_pointers`` under every (schedule, jobs) combination is
-  bit-identical: points-to sets, call targets, wrappers, allocation
-  objects (including list order, which downstream consumers rely on);
-* parallel ``query_sites`` returns the serial verdicts and leaves a
-  memo whose entries all agree with a fresh serial engine;
-* the end-to-end API (``analyze(jobs=4, demand=True)``) produces the
-  same Γ verdicts and the same instrumentation plans as ``jobs=1``;
-* the shard merge replays the exact serial constraint stream
-  (solver-state equality, not just result equality).
+* the :class:`~repro.analysis.andersen.DeltaSolver`'s wave schedule
+  (Pearce–Kelly topological order, one merged delta per node per wave)
+  against the naive worklist of the
+  :class:`~repro.analysis.andersen.ReferenceSolver`;
+* seeding the solver from per-function constraint tapes — what an
+  :class:`~repro.service.AnalysisSession` caches and replays on every
+  rebuild — against the serial whole-module generator.
 
-Plus the knob plumbing: ``resolve_jobs`` precedence and
-``chunk_evenly``'s contiguity guarantees.
+Checked over the bundled workloads, hypothesis-generated programs and
+the pointer-heavy corpus: points-to sets, call targets, wrappers and
+allocation objects (including list order, which downstream consumers
+rely on) are bit-identical, and the tape replay reproduces the exact
+serial constraint stream (solver-state equality, not just result
+equality).
 """
-
-import os
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.analysis import analyze_pointers
-from repro.analysis.parallel import (
-    InvalidJobsError,
-    chunk_evenly,
-    default_jobs,
-    fork_available,
-    resolve_jobs,
-)
-from repro.api import analyze
-from repro.core import UsherConfig, prepare_module, run_usher
+from repro.analysis.andersen import DeltaSolver, _recursive_functions
+from repro.analysis.shardgen import _collector_class
+from repro.analysis.solverstats import SolverStats
 from repro.opt import run_pipeline
+from repro.service.session import _collect_tape, _normalized_ops, _TapeSolver
 from repro.tinyc import compile_source
-from repro.vfg.demand import DemandEngine
 from repro.workloads import WORKLOADS, GeneratorParams, generate_program
 
 from tests.helpers import CORPUS_PARAMS as _PARAMS
@@ -48,13 +38,15 @@ _SETTINGS = dict(
     suppress_health_check=[HealthCheck.too_slow],
 )
 
-needs_fork = pytest.mark.skipif(
-    not fork_available(), reason="fork start method unavailable"
-)
-
 
 def _module_for(seed, params=_PARAMS, name=None):
     module = compile_source(generate_program(seed, params), name or f"seed{seed}")
+    run_pipeline(module, "O0+IM")
+    return module
+
+
+def _workload_module(workload):
+    module = compile_source(workload.source(0.1), workload.name)
     run_pipeline(module, "O0+IM")
     return module
 
@@ -71,208 +63,124 @@ def _normalize(result):
     )
 
 
-def _plan_snapshot(plan):
-    return (
-        {func: tuple(ops) for func, ops in plan.entry_ops.items()},
-        {
-            uid: (tuple(ops.pre), tuple(ops.post))
-            for uid, ops in plan.ops.items()
-        },
+def _tape_solver(module, wrappers=frozenset()):
+    """A :class:`_TapeSolver` seeded from freshly collected
+    per-function tapes, as a session's rebuild constructs it."""
+    recursive = _recursive_functions(module)
+    tapes = [
+        _collect_tape(module, wrappers, recursive, fname)
+        for fname in module.functions
+    ]
+    return _TapeSolver(
+        module,
+        frozenset(wrappers),
+        tapes,
+        SolverStats(solver=DeltaSolver.kind),
+        set(recursive),
     )
 
 
-# -- solver: schedule and sharding differentials --------------------------
+def _tape_analyze(module):
+    """``analyze_pointers`` with both passes seeded from tapes."""
+    base = _tape_solver(module)
+    base.solve()
+    wrappers = frozenset(base.detect_wrappers())
+    if not wrappers:
+        return base.result()
+    refined = _tape_solver(module, wrappers)
+    refined.solve()
+    result = refined.result()
+    result.wrappers = set(wrappers)
+    return result
+
+
+# -- solver: the wave schedule against the reference worklist -------------
 
 
 @pytest.mark.parametrize("workload", WORKLOADS, ids=lambda w: w.name)
 def test_schedules_agree_on_workload_corpus(workload):
-    module = compile_source(workload.source(0.1), workload.name)
-    run_pipeline(module, "O0+IM")
-    wave = analyze_pointers(module, schedule="wave")
-    fifo = analyze_pointers(module, schedule="fifo")
-    assert _normalize(wave) == _normalize(fifo)
-    assert wave.solver_stats.schedule == "wave"
-    assert fifo.solver_stats.schedule == "fifo"
+    module = _workload_module(workload)
+    wave = analyze_pointers(module)
+    reference = analyze_pointers(module, use_reference=True)
+    assert _normalize(wave) == _normalize(reference)
+    # Popping by topological position never costs more pops than the
+    # reference's re-offer-everything worklist.
+    assert wave.solver_stats.waves > 0
+    assert wave.solver_stats.pops <= reference.solver_stats.pops
 
 
 @given(seed=st.integers(min_value=0, max_value=10_000))
 @settings(**_SETTINGS)
 def test_schedules_and_jobs_agree_on_random_programs(seed):
     module = _module_for(seed)
-    wave = analyze_pointers(module, schedule="wave")
-    fifo = analyze_pointers(module, schedule="fifo")
+    wave = analyze_pointers(module)
     reference = analyze_pointers(module, use_reference=True)
+    taped = _tape_analyze(module)
     baseline = _normalize(wave)
-    assert _normalize(fifo) == baseline, seed
     assert _normalize(reference) == baseline, seed
-    if fork_available():
-        sharded = analyze_pointers(module, jobs=4)
-        assert _normalize(sharded) == _normalize(wave), seed
+    assert _normalize(taped) == baseline, seed
 
 
 @pytest.mark.parametrize("seed", [3, 5, 11])
 def test_wave_agrees_and_reduces_pops_on_pointer_heavy_corpus(seed):
-    """The wave schedule must agree with FIFO on the corpus built to
-    stress it (hub cells, copy cycles) — and actually do less work
-    there: fewer pops is the whole point of deep propagation."""
+    """The wave schedule must agree with the reference worklist on the
+    corpus built to stress it (hub cells, copy cycles) — and actually
+    do less work there: fewer pops is the whole point of deep
+    propagation."""
     params = GeneratorParams().scaled(3).pointer_heavy()
     module = _module_for(seed, params, name=f"heavy{seed}")
-    wave = analyze_pointers(module, schedule="wave")
-    fifo = analyze_pointers(module, schedule="fifo")
-    assert _normalize(wave) == _normalize(fifo)
+    wave = analyze_pointers(module)
+    reference = analyze_pointers(module, use_reference=True)
+    assert _normalize(wave) == _normalize(reference)
     assert wave.solver_stats.waves > 0
     assert wave.solver_stats.peak_wave_width > 0
-    assert wave.solver_stats.pops < fifo.solver_stats.pops, (
+    assert wave.solver_stats.pops < reference.solver_stats.pops, (
         wave.solver_stats.pops,
-        fifo.solver_stats.pops,
+        reference.solver_stats.pops,
     )
 
 
-@needs_fork
-def test_sharded_generation_replays_the_serial_constraint_stream():
-    """Stronger than result equality: after the shard merge the solver
-    must hold the same interned state as the serial generator (same
-    node/bit universe in the same order), because the merge replays the
-    exact serial stream."""
-    from repro.analysis.andersen import DeltaSolver
+# -- generation: per-function tapes against the serial generator ----------
 
+
+def test_sharded_generation_replays_the_serial_constraint_stream():
+    """Stronger than result equality: a solver seeded from
+    per-function tapes must hold the same interned state as the serial
+    generator (same node/bit universe in the same order), because the
+    replay reproduces the exact serial stream."""
     module = _module_for(7)
     serial = DeltaSolver(module, wrappers=frozenset())
-    sharded = DeltaSolver(module, wrappers=frozenset(), jobs=4)
-    assert sharded.stats.gen_shards > 1
-    assert serial._nodes == sharded._nodes
-    assert serial._locs == sharded._locs
-    assert serial._bits == sharded._bits
-    assert serial._copy_out == sharded._copy_out
-    assert serial.alloc_objects == sharded.alloc_objects
-    assert serial.call_targets == sharded.call_targets
-    assert serial.clone_base == sharded.clone_base
+    taped = _tape_solver(module)
+    assert len(module.functions) > 1
+    assert serial._nodes == taped._nodes
+    assert serial._locs == taped._locs
+    assert serial._bits == taped._bits
+    assert serial._copy_out == taped._copy_out
+    assert serial.alloc_objects == taped.alloc_objects
+    assert serial.call_targets == taped.call_targets
+    assert serial.clone_base == taped.clone_base
 
 
-@needs_fork
 @pytest.mark.parametrize("workload", WORKLOADS[:6], ids=lambda w: w.name)
 def test_jobs_agree_on_workload_corpus(workload):
-    module = compile_source(workload.source(0.1), workload.name)
-    run_pipeline(module, "O0+IM")
-    serial = analyze_pointers(module, jobs=1)
-    parallel = analyze_pointers(module, jobs=4)
-    assert _normalize(serial) == _normalize(parallel)
+    module = _workload_module(workload)
+    serial = analyze_pointers(module)
+    taped = _tape_analyze(module)
+    assert _normalize(serial) == _normalize(taped)
 
 
-# -- demand engine: parallel batches --------------------------------------
-
-
-def _vfg_for_seed(seed):
-    module = _module_for(seed)
-    prepared = prepare_module(module)
-    return run_usher(prepared, UsherConfig.tl_at()).vfg
-
-
-@needs_fork
-@pytest.mark.parametrize("resolver", ["callstring", "summary"])
-def test_parallel_query_sites_matches_serial(resolver):
-    for seed in (2, 9, 17):
-        vfg = _vfg_for_seed(seed)
-        if len(vfg.check_sites) < 2:
-            continue
-        serial = DemandEngine(vfg, resolver=resolver)
-        parallel = DemandEngine(vfg, resolver=resolver)
-        assert serial.query_sites(vfg.check_sites) == parallel.query_sites(
-            vfg.check_sites, jobs=4
-        ), (seed, resolver)
-        assert parallel.stats.parallel_batches >= 1
-        assert parallel.stats.parallel_jobs > 1
-
-
-@needs_fork
-def test_merged_memo_is_sound():
-    """Every verdict the parallel merge kept must agree with a fresh
-    serial engine — the memo-union argument made executable."""
-    vfg = _vfg_for_seed(4)
-    if len(vfg.check_sites) < 2:
-        pytest.skip("no multi-site program generated")
-    parallel = DemandEngine(vfg)
-    parallel.query_sites(vfg.check_sites, jobs=4)
-    probe = DemandEngine(vfg)
-    for site in vfg.check_sites:
-        assert parallel.is_defined(site.node) == probe.is_defined(site.node)
-
-
-@given(seed=st.integers(min_value=0, max_value=10_000))
-@settings(**_SETTINGS)
-def test_parallel_queries_match_serial_on_random_programs(seed):
-    if not fork_available():
-        pytest.skip("fork start method unavailable")
-    vfg = _vfg_for_seed(seed)
-    serial = DemandEngine(vfg)
-    parallel = DemandEngine(vfg)
-    assert serial.query_sites(vfg.check_sites) == parallel.query_sites(
-        vfg.check_sites, jobs=3
-    ), seed
-
-
-# -- end to end: identical plans and verdicts -----------------------------
-
-
-@needs_fork
-def test_api_jobs_produces_identical_plans_and_verdicts():
-    source = generate_program(13, _PARAMS)
-    serial = analyze(source=source, demand=True, jobs=1)
-    parallel = analyze(source=source, demand=True, jobs=4)
-    assert set(serial.plans) == set(parallel.plans)
-    for name in serial.plans:
-        assert _plan_snapshot(serial.plans[name]) == _plan_snapshot(
-            parallel.plans[name]
-        ), name
-    for name, result in serial.results.items():
-        other = parallel.results[name]
-        for site in result.vfg.check_sites:
-            assert result.gamma.is_defined(site.node) == other.gamma.is_defined(
-                site.node
-            ), (name, site.instr_uid)
-
-
-@needs_fork
-def test_repro_jobs_env_is_invisible(monkeypatch):
-    source = generate_program(21, _PARAMS)
-    baseline = analyze(source=source, demand=True)
-    monkeypatch.setenv("REPRO_JOBS", "2")
-    enved = analyze(source=source, demand=True)
-    for name in baseline.plans:
-        assert _plan_snapshot(baseline.plans[name]) == _plan_snapshot(
-            enved.plans[name]
-        ), name
-
-
-# -- knob plumbing --------------------------------------------------------
-
-
-def test_resolve_jobs_precedence(monkeypatch):
-    monkeypatch.delenv("REPRO_JOBS", raising=False)
-    assert resolve_jobs() == 1
-    assert resolve_jobs(3) == 3
-    assert resolve_jobs(0) == 1
-    monkeypatch.setenv("REPRO_JOBS", "5")
-    assert resolve_jobs() == 5
-    assert resolve_jobs(2) == 2  # explicit beats env
-    with default_jobs(7):
-        assert resolve_jobs() == 7  # session default beats env
-        assert resolve_jobs(2) == 2  # explicit still wins
-        with default_jobs(None):
-            assert resolve_jobs() == 7  # None nests transparently
-    assert resolve_jobs() == 5  # default restored on exit
-    monkeypatch.setenv("REPRO_JOBS", "junk")
-    with pytest.raises(InvalidJobsError, match="REPRO_JOBS"):
-        resolve_jobs()  # malformed env is an error, not a silent serial run
-
-
-def test_chunk_evenly_is_contiguous_and_complete():
-    items = list(range(23))
-    for chunks in (1, 2, 3, 4, 7, 23, 50):
-        split = chunk_evenly(items, chunks)
-        assert [x for chunk in split for x in chunk] == items
-        assert all(chunk for chunk in split)
-        assert len(split) <= max(1, min(chunks, len(items)))
-        sizes = [len(chunk) for chunk in split]
-        assert max(sizes) - min(sizes) <= 1
-    assert chunk_evenly([], 4) == []
+def test_collect_tapes_covers_the_serial_generation():
+    """The per-function tapes together carry exactly the constraints
+    the whole-module generator emits."""
+    module = _module_for(11)
+    names = list(module.functions)
+    recursive = _recursive_functions(module)
+    whole = _collector_class()(
+        module, frozenset(), set(recursive), names
+    ).result_shard
+    union = set()
+    for name in names:
+        union |= _normalized_ops(
+            _collect_tape(module, frozenset(), recursive, name)
+        )
+    assert union == _normalized_ops(whole)

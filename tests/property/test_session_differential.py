@@ -4,8 +4,9 @@ The incremental contract is absolute: after any sequence of updates,
 the session's points-to sets, instrumentation plan and Γ verdicts must
 be *bit-identical* to a from-scratch ``prepare_module`` + ``run_usher``
 of the session's current module — whether the update warm-started the
-solver or rebuilt, whatever fraction of the memo tables was carried.  The incremental machinery is allowed to
-be faster, never allowed to be different.
+solver or rebuilt, whatever fraction of the memo tables was carried.
+The incremental machinery is allowed to be faster, never allowed to be
+different.
 """
 
 import copy
@@ -73,7 +74,7 @@ def _assert_bit_identical(session):
     assert session.query_sites() == cold_verdicts
 
 
-class TestBitIdentity:
+class TestBitIdentityAcrossTiers:
     def test_initial_and_per_function_edits(self):
         session = AnalysisSession.from_source(PROGRAM, name="prog")
         _assert_bit_identical(session)

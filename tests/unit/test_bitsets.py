@@ -1,34 +1,17 @@
-"""Unit and property tests for the compressed points-to containers.
+"""Unit and property tests for the solver's points-to bitsets.
 
-:mod:`repro.analysis.bitsets` must be a drop-in for the solver's dense
-Python-int bitsets: the same set algebra (with int ``0`` as the shared
-empty sentinel and ``-1`` as the universe), ascending low-bit-first
-iteration, and an exact pack/unpack round-trip through the roaring
-container encoding.  The algebra is checked against the int
-representation as the oracle.
+The :class:`~repro.analysis.andersen.DeltaSolver` stores every
+points-to set as a dense Python int over MemLoc bit indices (lids):
+int ``0`` is the empty set, so ``if bits:`` is the emptiness test,
+members enumerate low-bit-first, and the memory profile counts each
+live set's limb footprint.  The helpers are checked against plain
+Python sets as the oracle.
 """
 
-import os
-import random
-
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.bitsets import (
-    COMPRESSED_MIN_OPS,
-    STORAGE_ENV,
-    STORAGES,
-    Bitset,
-    Int64Arena,
-    InvalidStorageError,
-    bitset_count,
-    bitset_iter_lids,
-    bitset_packed_size,
-    default_storage,
-    pack_lids,
-    parse_storage,
-    resolve_storage,
-)
+from repro.analysis.andersen import DeltaSolver, _popcount
+from tests.helpers import random_module
 
 _lid_sets = st.sets(st.integers(min_value=0, max_value=200_000), max_size=60)
 
@@ -40,185 +23,53 @@ def _to_int(lids):
     return bits
 
 
-class TestAlgebraAgainstIntOracle:
-    @given(a=_lid_sets, b=_lid_sets)
-    @settings(max_examples=120, deadline=None)
-    def test_union_intersect_diff_match_int(self, a, b):
-        ba, bb = Bitset.from_lids(a), Bitset.from_lids(b)
-        assert (ba | bb) == _to_int(a | b) or not (a | b)
-        assert (ba & bb) == _to_int(a & b) or not (a & b)
-        assert (ba & ~bb) == _to_int(a - b) or not (a - b)
+def _solved(seed=5):
+    solver = DeltaSolver(random_module(seed), wrappers=frozenset())
+    solver.solve()
+    return solver
 
+
+class TestAlgebraAgainstIntOracle:
     @given(a=_lid_sets)
     @settings(max_examples=60, deadline=None)
     def test_count_and_iteration_ascend(self, a):
-        bits = Bitset.from_lids(a)
-        if not a:
-            assert bits == 0
-            return
-        assert bits.count() == len(a)
-        assert list(bits.iter_lids()) == sorted(a)
+        bits = _to_int(a)
+        assert _popcount(bits) == len(a)
+        assert list(DeltaSolver._iter_lids(bits)) == sorted(a)
 
-    @given(a=_lid_sets)
-    @settings(max_examples=60, deadline=None)
-    def test_iteration_matches_int_order(self, a):
-        # The solver's determinism across storages rests on this: both
-        # representations enumerate members in the same (ascending)
-        # order.
-        assert list(bitset_iter_lids(_to_int(a))) == list(
-            bitset_iter_lids(pack_lids(a, compressed=True))
-        ) == sorted(a)
+    def test_iteration_matches_int_order(self):
+        # The solver's determinism rests on this: MemLocs come out in
+        # ascending bit order, the order every consumer iterates in.
+        solver = _solved()
+        seen = 0
+        for bits in solver._bits:
+            lids = list(solver._iter_lids(bits))
+            assert lids == sorted(lids)
+            assert list(solver._iter_locs(bits)) == [
+                solver._locs[lid] for lid in lids
+            ]
+            seen += bool(lids)
+        assert seen, "the module should produce some points-to facts"
 
     def test_empty_sentinel_is_int_zero(self):
-        # An empty Bitset never exists — empty results are int 0 in
-        # both storages, so `if bits:` works unchanged.
-        assert Bitset.from_lids([]) == 0
-        assert pack_lids([], compressed=True) == 0
-        a = Bitset.single(7)
-        assert (a & ~a) == 0
-        assert (a & Bitset.single(9)) == 0
-
-    def test_int_sentinels_through_operators(self):
-        # The solver mixes int sentinels into the compressed flow: 0 is
-        # empty, -1 is the universe (`_collapse`'s processed_all seed).
-        a = Bitset.from_lids([1, 5, 70_000])
-        assert (0 | a) == a and (a | 0) == a
-        assert (0 & a) == 0 and (a & 0) == 0
-        assert (-1 & a) == a and (a & -1) == a
-        assert (0 & ~a) == 0
-
-    def test_mixed_storage_intersection_rejected(self):
-        with pytest.raises(TypeError):
-            (1 << 5) & ~Bitset.single(5)
-
-    def test_bitsets_are_unhashable(self):
-        with pytest.raises(TypeError):
-            hash(Bitset.single(3))
-
-
-class TestContainerSelection:
-    def test_sparse_chunk_packs_as_array(self):
-        size, mix = Bitset.from_lids([0, 17, 400]).packed_size()
-        assert mix == {"array": 1}
-        assert size == 8 + 2 * 3  # header + 2 bytes per member
-
-    def test_dense_run_packs_as_run(self):
-        _, mix = Bitset.from_lids(range(5000)).packed_size()
-        assert mix == {"run": 1}
-
-    def test_scattered_dense_chunk_packs_as_bitmap(self):
-        lids = list(range(0, 65536, 2))  # 32768 members, 16384 runs
-        size, mix = Bitset.from_lids(lids).packed_size()
-        assert mix == {"bitmap": 1}
-        assert size == 8 + 8192
-
-    def test_chunks_pack_independently(self):
-        lids = [3, 9] + list(range(65536, 65536 + 3000))
-        _, mix = Bitset.from_lids(lids).packed_size()
-        assert mix == {"array": 1, "run": 1}
-
-    def test_packed_size_matches_pack_output(self):
-        for lids in ([1, 2, 3], range(4000), range(0, 65536, 2), [70_000]):
-            bits = Bitset.from_lids(lids)
-            assert bits.packed_size()[0] == len(bits.pack())
-
-
-class TestPackRoundTrip:
-    @given(a=_lid_sets)
-    @settings(max_examples=80, deadline=None)
-    def test_round_trip(self, a):
-        bits = Bitset.from_lids(a)
-        if not a:
-            assert bits == 0
-            return
-        assert Bitset.unpack(bits.pack()) == bits
-
-    def test_round_trip_every_container_kind(self):
-        for lids in ([5, 99], range(3000), range(0, 65536, 2)):
-            bits = Bitset.from_lids(lids)
-            assert list(Bitset.unpack(bits.pack()).iter_lids()) == list(lids)
-
-    def test_truncated_blob_rejected(self):
-        blob = Bitset.from_lids(range(3000)).pack()
-        for cut in (1, 4, 7, len(blob) - 1):
-            with pytest.raises(ValueError):
-                Bitset.unpack(blob[:cut])
-
-    def test_unknown_container_kind_rejected(self):
-        blob = bytearray(Bitset.single(3).pack())
-        blob[2] = 200
-        with pytest.raises(ValueError):
-            Bitset.unpack(bytes(blob))
+        # Empty sets are int 0, never None, so `if bits:` and `|=` work
+        # on every node.
+        solver = _solved()
+        assert all(isinstance(bits, int) for bits in solver._bits)
+        assert 0 in solver._bits
+        assert _popcount(0) == 0
+        assert list(DeltaSolver._iter_lids(0)) == []
 
 
 class TestPackedSizeAccounting:
     def test_int_mode_is_limb_footprint(self):
-        size, mix = bitset_packed_size(1 << 1_000_000)
-        assert size == 125_001 and mix == {"int": 1}
-        assert bitset_packed_size(0) == (0, {})
-
-    def test_compressed_singleton_is_small(self):
-        size, mix = bitset_packed_size(Bitset.single(1_000_000))
-        assert size == 10 and mix == {"array": 1}
-
-    def test_count_dispatches_on_storage(self):
-        assert bitset_count(0b1011) == 3
-        assert bitset_count(Bitset.from_lids([0, 1, 3])) == 3
-
-
-class TestStorageKnob:
-    def test_parse_accepts_known_names(self):
-        for name in STORAGES:
-            assert parse_storage(name) == name
-        assert parse_storage("  Compressed ") == "compressed"
-
-    def test_parse_rejects_unknown(self):
-        with pytest.raises(InvalidStorageError):
-            parse_storage("roaring", origin="--storage")
-
-    def test_resolution_order(self, monkeypatch):
-        monkeypatch.delenv(STORAGE_ENV, raising=False)
-        assert resolve_storage() == "int"
-        monkeypatch.setenv(STORAGE_ENV, "compressed")
-        assert resolve_storage() == "compressed"
-        with default_storage("int"):
-            assert resolve_storage() == "int"  # session beats env
-            assert resolve_storage("compressed") == "compressed"
-
-    def test_malformed_env_raises(self, monkeypatch):
-        monkeypatch.setenv(STORAGE_ENV, "dense")
-        with pytest.raises(InvalidStorageError):
-            resolve_storage()
-
-    def test_auto_resolves_by_module_size(self, monkeypatch):
-        monkeypatch.delenv(STORAGE_ENV, raising=False)
-        assert resolve_storage("auto", ops=COMPRESSED_MIN_OPS - 1) == "int"
-        assert resolve_storage("auto", ops=COMPRESSED_MIN_OPS) == "compressed"
-        assert resolve_storage("auto") == "int"
-
-
-class TestInt64Arena:
-    def test_append_extend_and_container_protocol(self):
-        arena = Int64Arena()
-        arena.append(7)
-        arena.extend([-1, 2**62])
-        assert len(arena) == 3
-        assert list(arena) == [7, -1, 2**62]
-        assert arena[2] == 2**62
-        assert arena.nbytes == 24
-        assert arena == Int64Arena([7, -1, 2**62])
-
-    def test_shared_memory_round_trip(self):
-        values = [0, 1, -1, 2**62, -(2**62), 123456789]
-        name, length = Int64Arena(values).to_shared_memory()
-        attached = Int64Arena.attach(name, length)
-        try:
-            assert list(attached) == values
-        finally:
-            attached.pin()  # localizes and unlinks the segment
-        assert list(attached) == values
-
-    def test_pin_is_noop_for_local_arena(self):
-        arena = Int64Arena([1, 2])
-        assert arena.pin() is arena
-        assert list(arena) == [1, 2]
+        solver = _solved()
+        solver.result()
+        live = [
+            bits
+            for nid, bits in enumerate(solver._bits)
+            if solver._parent[nid] == nid
+        ]
+        expected = sum((bits.bit_length() + 7) // 8 for bits in live)
+        assert expected > 0
+        assert solver.stats.bytes_pts == expected

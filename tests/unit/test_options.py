@@ -17,9 +17,20 @@ class TestValidation:
         options = AnalysisOptions()
         assert options.as_dict() == {}
 
-    def test_bad_resolver(self):
+    def test_bad_tier_fails_at_construction(self):
+        # The solver knobs are gone: naming one is a construction error.
+        with pytest.raises(TypeError, match="tier"):
+            AnalysisOptions(tier="warp")
+
+    def test_bad_jobs_fails_at_construction(self):
+        with pytest.raises(TypeError, match="jobs"):
+            AnalysisOptions(jobs=0)
+
+    def test_bad_resolver_and_schedule(self):
         with pytest.raises(ValueError):
             AnalysisOptions(resolver="psychic")
+        with pytest.raises(TypeError, match="schedule"):
+            AnalysisOptions(schedule="lifo")
 
     def test_bad_demand_and_context_depth(self):
         with pytest.raises(ValueError):
@@ -87,12 +98,12 @@ class TestCliBoundary:
         "argv",
         [
             ["check", "prog.tc", "--tier", "full"],
-            ["check", "prog.tc", "--jobs", "2"],
             ["check", "prog.tc", "--storage", "int"],
-            ["report", "--tier", "full"],
-            ["fuzz", "--jobs", "2"],
-            ["serve", "--tier", "full"],
+            ["report", "--storage", "int"],
+            ["serve", "--storage", "int"],
             ["bench", "--tiers", "full"],
+            ["bench", "--storages", "int"],
+            ["bench", "--schedules", "wave"],
             ["bench", "--jobs-axis", "1"],
         ],
     )
