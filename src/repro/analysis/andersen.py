@@ -70,16 +70,6 @@ from repro.obs.trace import TRACE
 
 Node = Union[PVar, MemLoc]
 
-#: Op-tape tags of the per-function constraint tapes (see
-#: :mod:`repro.analysis.shardgen`); kept here so both the tape
-#: collector and the replaying solver agree on the encoding.
-OP_PTS = 0
-OP_COPY = 1
-OP_LOAD = 2
-OP_STORE = 3
-OP_GEP = 4
-OP_ICALL = 5
-
 try:  # int.bit_count is 3.10+; the fallback keeps 3.9 working.
     _popcount = int.bit_count
 except AttributeError:  # pragma: no cover
@@ -201,7 +191,6 @@ class _SolverBase:
         module: Module,
         wrappers: FrozenSet[str],
         stats: Optional[SolverStats] = None,
-        recursive: Optional[Set[str]] = None,
     ) -> None:
         self.module = module
         self.wrappers = wrappers
@@ -219,9 +208,7 @@ class _SolverBase:
         self.clone_base: Dict[str, str] = {}
         #: (wrapper, callsite uid) namespaces already instantiated
         self._instantiated: Set[Tuple[str, int]] = set()
-        self._recursive = (
-            recursive if recursive is not None else _recursive_functions(module)
-        )
+        self._recursive = _recursive_functions(module)
 
         with self.stats.phase("constraints"):
             self._seed()
@@ -532,7 +519,6 @@ class ReferenceSolver(_SolverBase):
         module: Module,
         wrappers: FrozenSet[str],
         stats: Optional[SolverStats] = None,
-        recursive: Optional[Set[str]] = None,
     ) -> None:
         self.pts: Dict[Node, Set[MemLoc]] = {}
         self.copy_edges: Dict[Node, Set[Node]] = {}
@@ -544,7 +530,7 @@ class ReferenceSolver(_SolverBase):
         ] = {}
         self.worklist: List[Node] = []
         self.dirty: Set[Node] = set()
-        super().__init__(module, wrappers, stats, recursive=recursive)
+        super().__init__(module, wrappers, stats)
 
     # -- constraint store ----------------------------------------------
     def _points(self, node: Node) -> Set[MemLoc]:
@@ -712,7 +698,6 @@ class DeltaSolver(_SolverBase):
         module: Module,
         wrappers: FrozenSet[str],
         stats: Optional[SolverStats] = None,
-        recursive: Optional[Set[str]] = None,
     ) -> None:
         #: wave bookkeeping: the ord-keyed heap of reps scheduled in the
         #: wave currently being processed (None outside a wave), the set
@@ -753,7 +738,7 @@ class DeltaSolver(_SolverBase):
         self._icalls: List[Optional[Set[Tuple[int, Tuple[int, ...], int]]]] = []
         self.worklist: List[int] = []
         self.dirty: Set[int] = set()
-        super().__init__(module, wrappers, stats, recursive=recursive)
+        super().__init__(module, wrappers, stats)
 
     # -- interning -----------------------------------------------------
     def _nid(self, node: Node) -> int:
@@ -1007,61 +992,6 @@ class DeltaSolver(_SolverBase):
             [nodes[a] if a >= 0 else None for a in args],
             nodes[dst_id] if dst_id >= 0 else None,
         )
-
-    # -- tape replay ---------------------------------------------------
-    def _replay_shard(self, shard) -> None:
-        """Id-level replay of a constraint tape straight off its flat
-        word arena: remap each tape-local symbol to a dense node id
-        once, then drive the id-level constraint store with index
-        arithmetic over the ``int64`` buffer — the hot path
-        materializes no op tuples and never hashes a dataclass more
-        than once per distinct symbol."""
-        from repro.analysis.shardgen import GEP_NONE
-
-        syms = shard.syms
-        words = shard.words
-        node_ids: List[int] = [-1] * len(syms)
-
-        def nid(local: int) -> int:
-            mapped = node_ids[local]
-            if mapped < 0:
-                mapped = node_ids[local] = self._nid(syms[local])
-            return mapped
-
-        i = 0
-        n = len(words)
-        while i < n:
-            tag = words[i]
-            if tag == OP_COPY:
-                self._copy_ids(nid(words[i + 1]), nid(words[i + 2]))
-                i += 3
-            elif tag == OP_PTS:
-                self._pts_ids(nid(words[i + 1]), self._lid(syms[words[i + 2]]))
-                i += 3
-            elif tag == OP_LOAD:
-                self._load_ids(nid(words[i + 1]), nid(words[i + 2]))
-                i += 3
-            elif tag == OP_STORE:
-                self._store_ids(nid(words[i + 1]), nid(words[i + 2]))
-                i += 3
-            elif tag == OP_GEP:
-                offset = words[i + 3]
-                self._gep_ids(
-                    nid(words[i + 1]),
-                    nid(words[i + 2]),
-                    None if offset == GEP_NONE else offset,
-                )
-                i += 4
-            else:  # OP_ICALL
-                nargs = words[i + 3]
-                args = tuple(
-                    nid(a) if a >= 0 else -1
-                    for a in words[i + 4 : i + 4 + nargs]
-                )
-                dst_sid = words[i + 4 + nargs]
-                dst = nid(dst_sid) if dst_sid >= 0 else -1
-                self._icall_ids(nid(words[i + 1]), words[i + 2], args, dst)
-                i += 5 + nargs
 
     # -- fixpoint ------------------------------------------------------
     def solve(self) -> None:

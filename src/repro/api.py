@@ -17,7 +17,7 @@ TinyC ``source`` or a compiled ``module``)::
 Definedness options (demand-driven Γ, resolver, context depth, a
 single configuration) are passed as one
 :class:`repro.options.AnalysisOptions` record (``analyze(options=...)``).
-For a long-lived, incrementally re-analyzed program, see
+For a long-lived program re-analyzed after each edit, see
 :class:`repro.service.session.AnalysisSession` and ``repro serve``.
 """
 

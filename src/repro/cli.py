@@ -19,7 +19,7 @@ Commands:
   small reproducer (see :mod:`repro.oracle`).
 - ``serve``        — resident analysis service: a localhost HTTP/JSON
   endpoint over long-lived :class:`repro.service.AnalysisSession`
-  objects with incremental re-analysis (see :mod:`repro.service`).
+  objects, re-analyzed after each edit (see :mod:`repro.service`).
 - ``bench``        — the scenario-factory matrix orchestrator: run a
   declarative workload × config matrix across a crash-isolated process
   pool, write schema-stamped rows to a JSONL log, diff against a
@@ -661,7 +661,7 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--via-session", action="store_true",
                       help="route every examined case through the "
                            "resident AnalysisSession API (open + "
-                           "incremental update) instead of from-scratch "
+                           "update) instead of one-shot "
                            "analysis; a verdict difference between the "
                            "two paths is exactly what the campaign "
                            "exists to catch")

@@ -56,7 +56,6 @@ def redundant_check_elimination(
     resolver: str = "callstring",
     interprocedural: bool = False,
     demand: bool = False,
-    engine_factory=None,
 ) -> "tuple[Definedness, Opt2Stats]":
     """Run Algorithm 1; return the refined Γ and statistics.
 
@@ -70,13 +69,7 @@ def redundant_check_elimination(
     graph is answered by batched demand queries over the check sites
     (:func:`repro.vfg.demand.resolve_definedness_demand`) instead of
     whole-program reachability — bit-identical verdicts, but only the
-    check sites' backward slices are visited.
-
-    ``engine_factory``, when given, builds the demand engine for the
-    rewired scratch graph — ``engine_factory(scratch) -> DemandEngine``
-    — letting a resident :class:`repro.service.session.AnalysisSession`
-    prime it with memos carried across edits.  Only consulted on the
-    ``demand=True`` path."""
+    check sites' backward slices are visited."""
     scratch = vfg.copy()
     by_uid = module.instr_by_uid()
     dts: Dict[str, DominatorTree] = {
@@ -193,18 +186,11 @@ def redundant_check_elimination(
     if demand:
         from repro.vfg.demand import resolve_definedness_demand
 
-        # A fresh engine by default: the scratch graph's edge set
-        # differs from the original VFG's, so no memo may be shared
-        # with it.  A session-supplied factory may prime the engine
-        # with memos proven valid for *this* scratch graph.
-        if engine_factory is not None:
-            engine = engine_factory(scratch)
-            engine.query_sites(scratch.check_sites)
-            gamma = engine.gamma()
-        else:
-            gamma = resolve_definedness_demand(
-                scratch, context_depth, resolver=resolver
-            )
+        # A fresh engine: the scratch graph's edge set differs from
+        # the original VFG's, so no memo may be shared with it.
+        gamma = resolve_definedness_demand(
+            scratch, context_depth, resolver=resolver
+        )
     elif resolver == "summary":
         from repro.vfg.tabulation import resolve_definedness_summary
 

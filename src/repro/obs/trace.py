@@ -23,14 +23,6 @@ with ``if TRACE.enabled:`` so per-wave / per-query spans cost nothing
 when nobody is looking (the bound is enforced by
 ``benchmarks/test_observability.py``).
 
-A forked worker process traces into its fork-copied tracer and ships
-the finished spans back over its result pipe
-(:meth:`Tracer.export_spans`); the parent stitches them under its own
-open span (:meth:`Tracer.adopt`), keeping the worker's pid so a
-Chrome/Perfetto load shows one track per process.
-``time.perf_counter`` is ``CLOCK_MONOTONIC`` and survives ``fork``, so
-parent and worker timestamps share one axis.
-
 Exports: :meth:`Tracer.chrome_trace` (the Chrome trace-event JSON
 format — load the file in ``chrome://tracing`` or
 https://ui.perfetto.dev) and :meth:`Tracer.render_tree` (an indented
@@ -46,7 +38,7 @@ import json
 import os
 import threading
 import time
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional
 
 __all__ = [
     "NOOP_SPAN",
@@ -76,32 +68,18 @@ class SpanRecord:
         parent: int,
         start: float,
         end: Optional[float] = None,
-        pid: Optional[int] = None,
-        tid: Optional[int] = None,
     ) -> None:
         self.name = name
         self.tags = tags
         self.parent = parent
         self.start = start
         self.end = end
-        self.pid = pid if pid is not None else os.getpid()
-        self.tid = tid if tid is not None else threading.get_ident()
+        self.pid = os.getpid()
+        self.tid = threading.get_ident()
 
     @property
     def seconds(self) -> float:
         return (self.end - self.start) if self.end is not None else 0.0
-
-    def as_tuple(self) -> Tuple:
-        """The pipe-shippable shape (plain builtins, no class)."""
-        return (
-            self.name,
-            dict(self.tags),
-            self.parent,
-            self.start,
-            self.end,
-            self.pid,
-            self.tid,
-        )
 
     def __repr__(self) -> str:
         return (
@@ -233,55 +211,6 @@ class Tracer:
         exit, leaving ``events`` populated for export."""
         return _Capture(self)
 
-    # -- cross-process stitching ---------------------------------------
-    def export_spans(self, clear: bool = True) -> List[Tuple]:
-        """Finished spans as plain tuples (for a result pipe).
-
-        Open spans are skipped — a worker exports between batches, so
-        anything still open belongs to the next batch.  Parent links
-        are remapped to positions *within the exported batch* (a
-        parent that was skipped or already exported becomes a root),
-        so :meth:`adopt` can graft the batch anywhere.
-        """
-        position: Dict[int, int] = {}
-        out: List[Tuple] = []
-        for index, record in enumerate(self.events):
-            if record.end is None:
-                continue
-            position[index] = len(out)
-            row = record.as_tuple()
-            out.append(row[:2] + (position.get(record.parent, -1),) + row[3:])
-        if clear:
-            self.events = []
-            self._local = threading.local()
-        return out
-
-    def adopt(
-        self, spans: Iterable[Tuple], parent: Optional[int] = None
-    ) -> int:
-        """Graft exported worker spans under ``parent`` (default: the
-        caller's innermost open span).  Returns the number adopted.
-
-        Root spans of the batch re-parent onto ``parent``; non-root
-        parent links are offset so the worker's internal nesting
-        survives.  The worker's pid/tid are kept verbatim — that is
-        the stitching: one Chrome/Perfetto track per worker process,
-        nested under the parent's span in the tree rendering.
-        """
-        spans = list(spans)
-        if not spans:
-            return 0
-        if parent is None:
-            stack = self._stack()
-            parent = stack[-1] if stack else -1
-        base = len(self.events)
-        for name, tags, span_parent, start, end, pid, tid in spans:
-            grafted = parent if span_parent < 0 else base + span_parent
-            self.events.append(
-                SpanRecord(name, tags, grafted, start, end, pid, tid)
-            )
-        return len(spans)
-
     # -- export ---------------------------------------------------------
     def chrome_trace(self) -> Dict:
         """The Chrome trace-event JSON object (``traceEvents`` array of
@@ -291,14 +220,13 @@ class Tracer:
         origin = min((e.start for e in finished), default=0.0)
         events: List[Dict] = []
         for pid in sorted({e.pid for e in finished}):
-            label = "repro" if pid == os.getpid() else f"repro worker {pid}"
             events.append(
                 {
                     "name": "process_name",
                     "ph": "M",
                     "pid": pid,
                     "tid": 0,
-                    "args": {"name": label},
+                    "args": {"name": "repro"},
                 }
             )
         for record in finished:
@@ -354,10 +282,9 @@ class Tracer:
                 f"{k}={v}" for k, v in sorted(record.tags.items())
             )
             suffix = f"  [{tags}]" if tags else ""
-            own_pid = "" if record.pid == os.getpid() else f" @pid{record.pid}"
             lines.append(
                 f"{'  ' * depth}{record.name:<{max(1, 32 - 2 * depth)}s}"
-                f"{record.seconds * 1e3:>10.3f} ms{own_pid}{suffix}"
+                f"{record.seconds * 1e3:>10.3f} ms{suffix}"
             )
             for child in children.get(index, ()):
                 emit(child, depth + 1, root_seconds)

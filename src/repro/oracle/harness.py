@@ -98,7 +98,7 @@ def examine_text(
     """Diff one printed-IR module against the matrix.
 
     With ``via_session=True`` every configuration is analyzed through an
-    incrementally updated :class:`repro.service.session.AnalysisSession`
+    updated :class:`repro.service.session.AnalysisSession`
     instead of the one-shot pipeline — same diff against native ground
     truth, so a session-core bug shows up as a divergence.
 
@@ -130,10 +130,9 @@ def _examine_via_session(
 ) -> "Tuple[str, List[Divergence]]":
     """Examine through resident sessions: open, apply a semantics-
     preserving single-function edit (a dead constant copy after the
-    entry label), incrementally re-analyze, then diff the *updated*
-    session's plan against native execution of the session's own
-    module.  Exercises the tape cache, warm solver restart, uid
-    transplant and memo carryover on every corpus program."""
+    entry label), re-analyze, then diff the *updated* session's plan
+    against native execution of the session's own module.  Exercises
+    the update path and its uid transplant on every corpus program."""
     from repro.service.session import AnalysisSession
 
     divergences: "List[Divergence]" = []
@@ -232,7 +231,7 @@ def run_campaign(
     ``via_session=True`` every case routes through an edited resident
     :class:`repro.service.session.AnalysisSession` (see
     :func:`examine_text`) — the campaign then certifies the session's
-    incremental re-analysis against native ground truth.  Results
+    re-analysis against native ground truth.  Results
     stream to ``out_path`` as JSONL (one record per case plus a
     trailing summary) when provided; minimized reproducers land in
     ``reproducer_dir``.

@@ -1,14 +1,14 @@
-"""Resident analysis service: long-lived sessions, incremental
-re-analysis and the ``repro serve`` front end.
+"""Resident analysis service: long-lived sessions and the
+``repro serve`` front end.
 
-The one-shot pipeline (:func:`repro.api.analyze`) re-runs every phase
-from scratch on each call.  This package keeps the analysis *resident*:
+The one-shot pipeline (:func:`repro.api.analyze`) returns its results
+and forgets the module.  This package keeps the analysis *resident*:
 
-* :class:`repro.service.session.AnalysisSession` — parsed module,
-  points-to solver state, VFG and demand memos held across edits;
-  :meth:`~repro.service.session.AnalysisSession.update` re-analyzes one
-  function incrementally (cached constraint tapes, warm-started solver,
-  closure-tracked memo carryover) with results bit-identical to a cold
+* :class:`repro.service.session.AnalysisSession` — one module and its
+  analysis held between queries;
+  :meth:`~repro.service.session.AnalysisSession.update` replaces one
+  function body and re-analyzes the module cold, keeping the uids of
+  unchanged instructions, with results identical to a cold
   :func:`~repro.api.analyze`.
 * :func:`repro.service.server.serve` — the localhost HTTP/JSON server
   behind ``repro serve`` (``open`` / ``update`` / ``query_sites`` /

@@ -10,14 +10,14 @@ Routes (all POST bodies and responses are JSON):
   :meth:`repro.options.AnalysisOptions.as_dict` mapping).  Sessions are
   cached per content digest: re-opening the same text under the same
   options returns the resident session.
-* ``POST /update`` — ``{"digest", "function", "body"}`` → incremental
-  re-analysis stats.
+* ``POST /update`` — ``{"digest", "function", "body"}`` → re-analysis
+  stats.
 * ``POST /query_sites`` — ``{"digest", "uids"?}`` → verdicts.
 * ``POST /explain`` — ``{"digest", "uid"}`` → rendered flow steps.
 * ``POST /stats`` / ``GET /ping`` — introspection.
 * ``GET /metrics`` — Prometheus text exposition (request counts and
-  latency histograms per route, session count, last-update dirty
-  fraction and memo-carryover counters per session).
+  latency histograms per route, session count, and the last update's
+  duration per session).
 
 Client errors answer ``400`` (malformed input) or ``404`` (unknown
 digest — :class:`UnknownDigestError` — or unknown route) with
@@ -95,19 +95,9 @@ class ReproServer(HTTPServer):
         self.metrics.gauge(
             "repro_sessions", "Resident analysis sessions."
         ).set_function(lambda: len(self.sessions))
-        self._dirty_fraction = self.metrics.gauge(
-            "repro_session_dirty_fraction",
-            "Dirty VFG-node fraction of each session's last update.",
-            labels=("digest",),
-        )
-        self._memos_carried = self.metrics.counter(
-            "repro_session_memos_carried_total",
-            "Demand-engine memo entries carried across updates.",
-            labels=("digest",),
-        )
-        self._memos_dropped = self.metrics.counter(
-            "repro_session_memos_dropped_total",
-            "Demand-engine memo entries dropped across updates.",
+        self._update_seconds = self.metrics.gauge(
+            "repro_session_update_seconds",
+            "Seconds the last update (or the open) of each session took.",
             labels=("digest",),
         )
 
@@ -119,21 +109,13 @@ class ReproServer(HTTPServer):
             time.perf_counter() - started, route=route
         )
 
-    def note_update(self, digest: str, stats) -> None:
-        """Fold one update's figures into the per-session gauges."""
-        self._dirty_fraction.set(stats.dirty_fraction, digest=digest)
-        self._memos_carried.inc(stats.memos_carried, digest=digest)
-        self._memos_dropped.inc(stats.memos_dropped, digest=digest)
-
     def render_metrics(self) -> str:
-        """The ``/metrics`` payload: refresh scrape-time gauges from
+        """The ``/metrics`` payload: refresh the per-session gauge from
         the live sessions, then render the exposition text."""
         for digest, session in self.sessions.items():
-            update = session.last_update
-            if update is not None:
-                self._dirty_fraction.set(
-                    update.dirty_fraction, digest=digest
-                )
+            self._update_seconds.set(
+                session.last_update.update_seconds, digest=digest
+            )
         return self.metrics.render()
 
 
@@ -254,7 +236,6 @@ class _Handler(BaseHTTPRequestHandler):
             # An unknown *function* on a known digest is malformed
             # input (400), not a missing resource (404).
             raise ValueError(_one_line(exc)) from None
-        self.server.note_update(data.get("digest"), stats)
         return stats.as_dict()
 
     def _route_query_sites(self, data: Dict) -> Dict:

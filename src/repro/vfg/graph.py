@@ -433,31 +433,3 @@ class VFG:
         clone._def_columns = self._def_columns
         clone.stats = self.stats
         return clone
-
-    def edge_changes(self, base: "VFG"):
-        """How this graph, a :meth:`copy` of ``base`` rewired since,
-        differs from it: ``(added, removed)`` lists of
-        ``(src, dst, kind, callsite)``.
-
-        The copy shares ``base``'s node ids, so the comparison runs on
-        the interned integer keys.  Raises ``ValueError`` when ``base``
-        is not this graph's origin (or gained nodes after the copy)."""
-        nodes = self._node_list
-        if nodes[: len(base._node_list)] != base._node_list:
-            raise ValueError(
-                "edge_changes() needs the graph this one was copied from"
-            )
-
-        def rows(keys):
-            return [
-                (
-                    nodes[sid],
-                    nodes[did],
-                    _KIND_FROM_CODE[code],
-                    None if callsite == _NO_CALLSITE else callsite,
-                )
-                for sid, did, code, callsite in keys
-            ]
-
-        mine, theirs = self._edge_ids.keys(), base._edge_ids.keys()
-        return rows(mine - theirs), rows(theirs - mine)

@@ -110,6 +110,18 @@ class TestKnownDigestBadInputIs400:
         )
         assert "no_such_fn" in message
 
+    def test_failed_update_keeps_the_session_usable(self, server, opened):
+        digest = opened["digest"]
+        broken = "\n".join(
+            line for line in _const_edit().splitlines()
+            if not line.lstrip().startswith("ret ")
+        )
+        message = _expect(400, server.update, digest, "main", broken)
+        assert "terminator" in message
+        # The failed edit is not kept: another function updates cleanly.
+        stats = server.update(digest, "classify", _const_edit("classify"))
+        assert stats["function"] == "classify"
+
     def test_update_missing_body(self, server, opened):
         _expect(400, server.update, opened["digest"], "main", None)
 
@@ -168,23 +180,23 @@ class TestMetricsEndpoint:
 
     def test_update_publishes_session_gauges(self, server, opened):
         digest = opened["digest"]
-        server.update(digest, "main", _const_edit())
+        stats = server.update(digest, "main", _const_edit())
         parsed = parse_prometheus_text(server.metrics())
-        assert (("digest", digest),) in parsed["repro_session_dirty_fraction"]
-        carried = parsed["repro_session_memos_carried_total"]
-        assert (("digest", digest),) in carried
+        seconds = parsed["repro_session_update_seconds"]
+        assert seconds[(("digest", digest),)] == stats["update_seconds"] > 0
 
 
-def _const_edit():
-    """A semantics-preserving edit of main (dead constant copy).
+def _const_edit(fname="main"):
+    """A semantics-preserving edit of ``fname`` (dead constant copy).
 
-    The service has no function_text route, so reconstruct main's
-    printed IR through an in-process session over the same source.
+    The service has no function_text route, so reconstruct the
+    function's printed IR through an in-process session over the same
+    source.
     """
     from repro.service import AnalysisSession
 
     session = AnalysisSession.from_source(SOURCE, name="classify")
-    lines = session.function_text("main").splitlines()
+    lines = session.function_text(fname).splitlines()
     for index, line in enumerate(lines):
         if line.rstrip().endswith(":"):
             lines.insert(index + 1, "    %__m0 := 0")

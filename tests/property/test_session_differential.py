@@ -1,19 +1,21 @@
 """Differential suite: ``AnalysisSession.update()`` vs cold analysis.
 
-The incremental contract is absolute: after any sequence of updates,
-the session's points-to sets, instrumentation plan and Γ verdicts must
-be *bit-identical* to a from-scratch ``prepare_module`` + ``run_usher``
-of the session's current module — whether the update warm-started the
-solver or rebuilt, whatever fraction of the memo tables was carried.
-The incremental machinery is allowed to be faster, never allowed to be
-different.
+The contract is absolute: after any sequence of updates, the session's
+points-to sets, instrumentation plan and Γ verdicts must be
+*bit-identical* to a from-scratch ``prepare_module`` + ``run_usher``
+of the session's current module, and every function an edit left
+textually unchanged keeps its instruction uids.
 """
 
 import copy
+import random
+import re
 
 import pytest
 
 from repro.core import prepare_module, run_usher
+from repro.ir.printer import function_to_str
+from repro.ir.verifier import VerificationError
 from repro.options import AnalysisOptions
 from repro.service import AnalysisSession, plan_signature
 from repro.workloads import GeneratorParams, generate_program
@@ -44,15 +46,28 @@ def main() {
 """
 
 
-def _const_edit(session, fname):
+_STORE = re.compile(r"^\s+\*%\S+ := ")
+
+
+def _const_edit(session, fname, serial=0):
     """Insert a fresh constant assignment after the function's first
-    label — a definedness-neutral edit that keeps the constraint set a
-    superset (the warm-solve path)."""
+    label — a definedness-neutral edit."""
     lines = session.function_text(fname).splitlines()
     for index, line in enumerate(lines):
         if line.rstrip().endswith(":"):
-            lines.insert(index + 1, "    %__e0 := 0")
+            lines.insert(index + 1, f"    %__e{serial} := 0")
             break
+    return "\n".join(lines)
+
+
+def _store_deletion(session, fname, rng):
+    """Delete one seeded store of ``fname`` (``None`` if it has none)
+    — a shrinking edit that can change points-to facts and plans."""
+    lines = session.function_text(fname).splitlines()
+    stores = [i for i, line in enumerate(lines) if _STORE.match(line)]
+    if not stores:
+        return None
+    del lines[rng.choice(stores)]
     return "\n".join(lines)
 
 
@@ -74,6 +89,59 @@ def _assert_bit_identical(session):
     assert session.query_sites() == cold_verdicts
 
 
+def _snapshot(session):
+    """Post-pipeline text and instruction uids of every function."""
+    return {
+        fname: (function_to_str(fn), [i.uid for i in fn.instructions()])
+        for fname, fn in session.pristine.functions.items()
+    }
+
+
+def _assert_untouched_uids_kept(before, after):
+    """Functions whose post-pipeline text an edit left alone keep
+    their uids; returns how many such functions there were."""
+    kept = 0
+    for fname, (text, uids) in before.items():
+        if after[fname][0] == text:
+            assert after[fname][1] == uids, fname
+            kept += 1
+    return kept
+
+
+def _apply(session, step):
+    """Apply one ``(kind, function, body)`` step and check it against
+    the cold oracle and the uid contract."""
+    kind, fname, body = step
+    before = _snapshot(session)
+    generation = session.generation
+    stats = session.update(fname, body)
+    assert (stats.function, stats.mode) == (fname, "rebuild")
+    assert stats.generation == session.generation == generation + 1
+    _assert_bit_identical(session)
+    after = _snapshot(session)
+    kept = _assert_untouched_uids_kept(before, after)
+    if kind == "identity":
+        assert after == before
+    return kept
+
+
+def _random_steps(session, rng, count):
+    """``count`` seeded edits: constant inserts, store deletions and
+    identity edits on seeded functions."""
+    for serial in range(count):
+        kind = rng.choice(("const", "store", "identity"))
+        fname = rng.choice(session.function_names())
+        if kind == "store":
+            body = _store_deletion(session, fname, rng)
+            if body is None:
+                kind = "identity"
+        if kind == "const":
+            body = _const_edit(session, fname, serial)
+        elif kind == "identity":
+            body = session.function_text(fname)
+        yield kind, fname, body
+
+
 class TestBitIdentityAcrossTiers:
     def test_initial_and_per_function_edits(self):
         session = AnalysisSession.from_source(PROGRAM, name="prog")
@@ -91,33 +159,35 @@ class TestBitIdentityAcrossTiers:
             options=AnalysisOptions(config="usher_tl"),
         )
         _assert_bit_identical(session)
-        session.update("classify", _const_edit(session, "classify"))
-        _assert_bit_identical(session)
+        _apply(session, ("const", "classify", _const_edit(session, "classify")))
+        for step in _random_steps(session, random.Random(7), 6):
+            _apply(session, step)
 
-    def test_identity_update_is_warm(self):
+
+class TestEditSequences:
+    """Seeded edit sequences, checked against cold analysis after
+    every step."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_program_sequence(self, seed):
         session = AnalysisSession.from_source(PROGRAM, name="prog")
-        stats = session.update("leaf", session.function_text("leaf"))
-        assert stats.mode == "warm"
-        assert stats.dirty_nodes == 0
-        _assert_bit_identical(session)
+        rng = random.Random(seed)
+        # An identity edit of a leaf changes nothing, uids included.
+        _apply(session, ("identity", "leaf", session.function_text("leaf")))
+        for step in _random_steps(session, rng, 8):
+            _apply(session, step)
 
-
-class TestIncrementalityBounds:
-    def test_single_function_edit_on_factor8_corpus(self):
+    def test_factor8_corpus_sequence(self):
         source = generate_program(11, GeneratorParams().scaled(8))
         session = AnalysisSession.from_source(source, name="gen11")
         target = session.function_names()[0]
-        stats = session.update(target, _const_edit(session, target))
-        assert stats.mode == "warm", "a const append must warm-start"
-        assert stats.total_nodes > 0
-        assert stats.dirty_fraction < 0.20, (
-            f"single-function edit dirtied {stats.dirty_fraction:.1%} "
-            f"of the VFG ({stats.dirty_nodes}/{stats.total_nodes} nodes)"
+        # A single constant insert keeps every other function's uids.
+        kept = _apply(
+            session, ("const", target, _const_edit(session, target))
         )
-        assert stats.memos_carried > 0, (
-            "clean-bucket demand memos must survive the update"
-        )
-        _assert_bit_identical(session)
+        assert kept == len(session.function_names()) - 1
+        for step in _random_steps(session, random.Random(11), 5):
+            _apply(session, step)
 
 
 class TestUpdateValidation:
@@ -141,3 +211,25 @@ class TestUpdateValidation:
         session.update("main", _const_edit(session, "main"))
         assert session.generation == 2
         assert session.last_update.function == "main"
+
+    def test_failed_update_leaves_the_session_unchanged(self):
+        session = AnalysisSession.from_source(PROGRAM, name="prog")
+        session.update("leaf", _const_edit(session, "leaf"))
+        text = session.function_text("main")
+        signature = plan_signature(session.plan)
+        generation, last = session.generation, session.last_update
+        # Parses, but its last block has no terminator.
+        broken = "\n".join(
+            line for line in text.splitlines()
+            if not line.lstrip().startswith("ret ")
+        )
+        with pytest.raises(VerificationError):
+            session.update("main", broken)
+        assert session.function_text("main") == text
+        assert plan_signature(session.plan) == signature
+        assert session.generation == generation
+        assert session.last_update is last
+        # A later valid update of any function goes through.
+        stats = session.update("classify", _const_edit(session, "classify"))
+        assert stats.generation == generation + 1
+        _assert_bit_identical(session)

@@ -1,7 +1,6 @@
 """Unit tests for the span tracing layer (:mod:`repro.obs.trace`)."""
 
 import json
-import os
 import tracemalloc
 
 import pytest
@@ -176,58 +175,6 @@ class TestNestingProperties:
         assert validate_chrome_trace(payload) == len(events)
 
 
-class TestExportAdopt:
-    def test_export_remaps_parents_and_skips_open(self):
-        worker = make_tracer()
-        open_span = worker.span("batch").__enter__()
-        with worker.span("case"):
-            with worker.span("step"):
-                pass
-        exported = worker.export_spans(clear=False)
-        # The still-open "batch" span is skipped; "case" becomes a
-        # root of the batch and "step" links to it by position.
-        names = [row[0] for row in exported]
-        assert names == ["case", "step"]
-        assert exported[0][2] == -1
-        assert exported[1][2] == 0
-        open_span.__exit__(None, None, None)
-
-    def test_export_clears_by_default(self):
-        worker = make_tracer()
-        with worker.span("one"):
-            pass
-        assert worker.export_spans()
-        assert worker.events == []
-
-    def test_adopt_grafts_under_innermost_open_span(self):
-        worker = make_tracer()
-        with worker.span("work", shard=1):
-            with worker.span("sub"):
-                pass
-        shipped = worker.export_spans()
-
-        parent = make_tracer()
-        with parent.span("merge"):
-            adopted = parent.adopt(shipped)
-        assert adopted == 2
-        names = {e.name: e for e in parent.events}
-        merge_index = [e.name for e in parent.events].index("merge")
-        assert names["work"].parent == merge_index
-        assert parent.events[names["sub"].parent].name == "work"
-
-    def test_adopt_preserves_worker_pid(self):
-        fake = [("remote", {}, -1, 1.0, 2.0, 99999, 1)]
-        parent = make_tracer()
-        parent.adopt(fake)
-        assert parent.events[0].pid == 99999
-        assert parent.events[0].pid != os.getpid()
-
-    def test_adopt_empty_batch(self):
-        parent = make_tracer()
-        assert parent.adopt([]) == 0
-        assert parent.events == []
-
-
 class TestChromeTrace:
     def _tracer_with_spans(self):
         tracer = make_tracer()
@@ -250,18 +197,6 @@ class TestChromeTrace:
         spans = [e for e in payload["traceEvents"] if e["ph"] == "X"]
         assert min(s["ts"] for s in spans) == 0
         assert all(s["dur"] >= 0 for s in spans)
-
-    def test_worker_pid_gets_its_own_track(self):
-        tracer = self._tracer_with_spans()
-        tracer.adopt([("remote", {}, -1, 1.0, 2.0, 4242, 7)])
-        payload = tracer.chrome_trace()
-        labels = {
-            e["pid"]: e["args"]["name"]
-            for e in payload["traceEvents"]
-            if e["ph"] == "M"
-        }
-        assert labels[4242] == "repro worker 4242"
-        assert labels[os.getpid()] == "repro"
 
     def test_write_chrome_trace(self, tmp_path):
         tracer = self._tracer_with_spans()

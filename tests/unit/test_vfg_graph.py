@@ -3,8 +3,8 @@
 ``remove_edge`` / ``remove_edges_between`` mark the row dead and leave
 it in both adjacency lists.  Every observable must still match a graph
 built without the removed edges, order included: ``deps_of``,
-``flows_of``, ``edges()``, ``num_edges``, the id-level rows, ``copy()``
-and ``edge_changes()``.  Re-adding a removed edge must behave like adding it anew.
+``flows_of``, ``edges()``, ``num_edges``, the id-level rows and
+``copy()``.  Re-adding a removed edge must behave like adding it anew.
 """
 
 from __future__ import annotations
@@ -90,20 +90,11 @@ def test_removal_matches_a_graph_built_without_the_edges(case):
     expected = build(survivors(edges, removed, between))
     assert observe(vfg) == observe(expected)
     assert observe(vfg.copy()) == observe(expected)
-
-
-@given(scenario)
-@settings(max_examples=150, deadline=None)
-def test_edge_changes_of_a_rewired_copy(case):
-    edges, removed, between = case
+    # Removing from a copy leaves the graph it was copied from intact.
     base = build(edges)
     scratch = base.copy()
     remove(scratch, removed, between)
-    added, dropped = scratch.edge_changes(base)
-    assert added == []
-    kept = set(survivors(edges, removed, between))
-    assert set(dropped) == set(edges) - kept
-    # The base graph is untouched by its copy's removals.
+    assert observe(scratch) == observe(expected)
     assert observe(base) == observe(build(edges))
 
 
