@@ -3,8 +3,15 @@
 Parses the pre-SSA form the front end and optimizer produce (no φs, no
 SSA versions, no μ/χ annotations — those are analysis results, not
 inputs).  Together with the printer this gives a round-trip property
-(``parse(print(m))`` prints identically) and lets tests and tools ship
-IR fixtures as plain text.
+(``parse(print(m))`` prints identically, the ``; module NAME`` header
+included) and lets tests and tools ship IR fixtures as plain text.
+
+Each line costs one regular-expression match: a line is routed by its
+first characters to the global, ``def`` or label pattern, and every
+instruction form is one alternative of a single compiled pattern,
+tried in a fixed precedence order.  The module name is taken from a
+``; module NAME`` header only when it is the first non-blank line;
+every other ``;`` line is a comment.
 
 Accepted grammar (one instruction per line, blocks introduced by
 ``label:`` lines)::
@@ -39,7 +46,7 @@ Accepted grammar (one instruction per line, blocks introduced by
 from __future__ import annotations
 
 import re
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.ir import instructions as ins
 from repro.ir.function import Function
@@ -58,42 +65,97 @@ class IRParseError(Exception):
 _NAME = r"[%A-Za-z_][%A-Za-z0-9_.@:\-]*"
 _VALUE = rf"(?:-?\d+|{_NAME})"
 
+_INT_RE = re.compile(r"-?\d+")
+_MODULE_PREFIX = "; module "
 _GLOBAL_RE = re.compile(
     rf"global\s+(?P<name>{_NAME})\s*"
     r"\(init=(?P<init>[TF])(?:\s+(?:array\[(?P<asize>\d+)\]|fields=(?P<fields>\d+)))?\)"
 )
 _DEF_RE = re.compile(rf"def\s+(?P<name>{_NAME})\s*\((?P<params>[^)]*)\)\s*(?:\[[^\]]*\]\s*)?\{{")
 _LABEL_RE = re.compile(rf"^(?P<label>{_NAME}):$")
-_ALLOC_RE = re.compile(
-    rf"(?P<dst>{_NAME}) := alloc_(?P<flavor>[TF]) (?P<obj>\S+)"
-    r" \((?P<kind>stack|heap)(?:, (?:fields=(?P<fields>\d+)|array\[(?P<asize>\d+)\]))?\)"
-)
-_GEP_RE = re.compile(rf"(?P<dst>{_NAME}) := gep (?P<base>{_VALUE}), (?P<off>{_VALUE})$")
-_FUNCADDR_RE = re.compile(rf"(?P<dst>{_NAME}) := &(?P<func>{_NAME})\(\)$")
-_GLOBALADDR_RE = re.compile(rf"(?P<dst>{_NAME}) := &(?P<glob>{_NAME})$")
-_LOAD_RE = re.compile(rf"(?P<dst>{_NAME}) := \*(?P<ptr>{_VALUE})$")
-_STORE_RE = re.compile(rf"\*(?P<ptr>{_VALUE}) := (?P<src>{_VALUE})$")
-_CALL_RE = re.compile(
-    rf"(?:(?P<dst>{_NAME}) := )?(?P<star>\*)?(?P<callee>{_NAME})\((?P<args>[^)]*)\)$"
-)
-_BINOP_RE = re.compile(
-    rf"(?P<dst>{_NAME}) := (?P<lhs>{_VALUE}) "
-    rf"(?P<op>\+|-|\*|/|%|<<|>>|<=|>=|==|!=|<|>|&|\||\^) (?P<rhs>{_VALUE})$"
-)
-_UNOP_RE = re.compile(rf"(?P<dst>{_NAME}) := (?P<op>[-!~])(?P<val>{_VALUE})$")
-_COPY_RE = re.compile(rf"(?P<dst>{_NAME}) := (?P<src>{_VALUE})$")
-_BRANCH_RE = re.compile(
-    rf"if (?P<cond>{_VALUE}) goto (?P<then>{_NAME}) else (?P<els>{_NAME})$"
-)
-_JUMP_RE = re.compile(rf"goto (?P<target>{_NAME})$")
-_RET_RE = re.compile(rf"ret(?: (?P<val>{_VALUE}))?$")
-_OUTPUT_RE = re.compile(rf"output (?P<val>{_VALUE})$")
+#: Printed μ/χ annotations (analysis results, not input).
+_ANNOT_RE = re.compile(r"\s+\[(?:mu|.*:= chi)\(.*\]$")
 
 
-def _value(text: str) -> Value:
-    if re.fullmatch(r"-?\d+", text):
-        return Const(int(text))
-    return Var(text)
+def _kind(kind: str, pattern: str) -> str:
+    """``pattern`` as one alternative of :data:`_INSTR_RE`: wrapped in a
+    group named ``kind``, its own groups renamed ``kind_<group>``."""
+    return f"(?P<{kind}>" + pattern.replace("(?P<", f"(?P<{kind}_") + ")"
+
+
+#: Every instruction form, tried in precedence order by one match.
+#: ``Load`` precedes ``Call``: a line both match is a ``Load``.  A
+#: negative literal (``x := -5``) is a ``ConstCopy``, never a ``UnOp``.
+_INSTR_RE = re.compile(
+    "|".join(
+        [
+            _kind(
+                "alloc",
+                rf"(?P<dst>{_NAME}) := alloc_(?P<flavor>[TF]) (?P<obj>\S+)"
+                r" \((?P<kind>stack|heap)"
+                r"(?:, (?:fields=(?P<fields>\d+)|array\[(?P<asize>\d+)\]))?\)",
+            ),
+            _kind(
+                "gep",
+                rf"(?P<dst>{_NAME}) := gep (?P<base>{_VALUE}), (?P<off>{_VALUE})$",
+            ),
+            _kind("funcaddr", rf"(?P<dst>{_NAME}) := &(?P<func>{_NAME})\(\)$"),
+            _kind("globaladdr", rf"(?P<dst>{_NAME}) := &(?P<glob>{_NAME})$"),
+            _kind("load", rf"(?P<dst>{_NAME}) := \*(?P<ptr>{_VALUE})$"),
+            _kind(
+                "call",
+                rf"(?:(?P<dst>{_NAME}) := )?(?P<star>\*)?"
+                rf"(?P<callee>{_NAME})\((?P<args>[^)]*)\)$",
+            ),
+            _kind("store", rf"\*(?P<ptr>{_VALUE}) := (?P<src>{_VALUE})$"),
+            _kind(
+                "binop",
+                rf"(?P<dst>{_NAME}) := (?P<lhs>{_VALUE}) "
+                rf"(?P<op>\+|-|\*|/|%|<<|>>|<=|>=|==|!=|<|>|&|\||\^) "
+                rf"(?P<rhs>{_VALUE})$",
+            ),
+            _kind(
+                "unop",
+                rf"(?P<dst>{_NAME}) := (?!-\d+$)(?P<op>[-!~])(?P<val>{_VALUE})$",
+            ),
+            _kind("copy", rf"(?P<dst>{_NAME}) := (?P<src>{_VALUE})$"),
+            _kind(
+                "branch",
+                rf"if (?P<cond>{_VALUE}) goto (?P<then>{_NAME}) "
+                rf"else (?P<els>{_NAME})$",
+            ),
+            _kind("jump", rf"goto (?P<target>{_NAME})$"),
+            _kind("ret", rf"ret(?: (?P<val>{_VALUE}))?$"),
+            _kind("output", rf"output (?P<val>{_VALUE})$"),
+        ]
+    )
+)
+
+
+class _Operands(dict):
+    """One parse's operands by spelling.  ``Var`` and ``Const`` are
+    immutable, so every occurrence of a spelling shares one object, as
+    in the front end's output: a dict hit costs less than building a
+    frozen dataclass, and the module holds fewer objects."""
+
+    def __missing__(self, text: str) -> Value:
+        # Skip the match for names: they start with neither '-' nor a digit.
+        head = text[0]
+        if (head == "-" or head.isdecimal()) and _INT_RE.fullmatch(text):
+            value: Value = Const(int(text))
+        else:
+            value = Var(text)
+        self[text] = value
+        return value
+
+
+def _sized(fields: Optional[str], asize: Optional[str]) -> Tuple[int, bool]:
+    """``(size, is_array)`` of a ``fields=N`` / ``array[N]`` suffix."""
+    if asize:
+        return int(asize), True
+    if fields:
+        return int(fields), False
+    return 1, False
 
 
 def parse_ir(text: str) -> Module:
@@ -101,43 +163,43 @@ def parse_ir(text: str) -> Module:
     module = Module()
     function: Optional[Function] = None
     block = None
+    first = True
+    values = _Operands()
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith(";"):
+        if not line:
             continue
-        if line.startswith("; module"):
+        header, first = first, False
+        if line[0] == ";":
+            if header and line.startswith(_MODULE_PREFIX):
+                module.name = line[len(_MODULE_PREFIX):]
             continue
 
-        match = _GLOBAL_RE.fullmatch(line)
-        if match:
-            size = 1
-            is_array = False
-            if match.group("asize"):
-                size, is_array = int(match.group("asize")), True
-            elif match.group("fields"):
-                size = int(match.group("fields"))
-            module.add_global(
-                GlobalVariable(
-                    match.group("name"),
-                    initialized=match.group("init") == "T",
-                    size=size,
-                    is_array=is_array,
+        if line.startswith("global"):
+            match = _GLOBAL_RE.fullmatch(line)
+            if match:
+                size, is_array = _sized(match.group("fields"), match.group("asize"))
+                module.add_global(
+                    GlobalVariable(
+                        match.group("name"),
+                        initialized=match.group("init") == "T",
+                        size=size,
+                        is_array=is_array,
+                    )
                 )
-            )
-            continue
-
-        match = _DEF_RE.fullmatch(line)
-        if match:
-            params = [
-                p.strip() for p in match.group("params").split(",") if p.strip()
-            ]
-            function = Function(match.group("name"), params)
-            module.add_function(function)
-            block = None
-            continue
-
-        if line == "}":
+                continue
+        elif line.startswith("def"):
+            match = _DEF_RE.fullmatch(line)
+            if match:
+                params = [
+                    p.strip() for p in match.group("params").split(",") if p.strip()
+                ]
+                function = Function(match.group("name"), params)
+                module.add_function(function)
+                block = None
+                continue
+        elif line == "}":
             function = None
             block = None
             continue
@@ -145,107 +207,85 @@ def parse_ir(text: str) -> Module:
         if function is None:
             raise IRParseError("instruction outside a function", line_no, raw)
 
-        match = _LABEL_RE.fullmatch(line)
-        if match:
-            block = function.add_block(match.group("label"))
-            continue
+        if line[-1] == ":":
+            match = _LABEL_RE.fullmatch(line)
+            if match:
+                block = function.add_block(match.group("label"))
+                continue
 
         if block is None:
             raise IRParseError("instruction outside a block", line_no, raw)
 
-        # Strip μ/χ annotations (printed analysis results, not input).
-        body = re.sub(r"\s+\[(?:mu|.*:= chi)\(.*\]$", "", line)
-        instr = _parse_instr(body, line_no, raw)
-        block.append(instr)
+        if "[" in line:
+            line = _ANNOT_RE.sub("", line)
+        block.append(_parse_instr(line, line_no, raw, values))
 
     module.assign_uids()
     return module
 
 
-def _parse_instr(body: str, line_no: int, raw: str) -> ins.Instr:
-    match = _ALLOC_RE.fullmatch(body)
-    if match:
-        size = 1
-        is_array = False
-        if match.group("asize"):
-            size, is_array = int(match.group("asize")), True
-        elif match.group("fields"):
-            size = int(match.group("fields"))
+def _parse_instr(
+    body: str, line_no: int, raw: str, values: _Operands
+) -> ins.Instr:
+    match = _INSTR_RE.fullmatch(body)
+    if match is None:
+        raise IRParseError("unrecognized instruction", line_no, raw)
+    kind = match.lastgroup
+    group = match.group
+    if kind == "load":
+        dst, ptr = group("load_dst", "load_ptr")
+        return ins.Load(values[dst], values[ptr])
+    if kind == "store":
+        ptr, src = group("store_ptr", "store_src")
+        return ins.Store(values[ptr], values[src])
+    if kind == "binop":
+        dst, op, lhs, rhs = group("binop_dst", "binop_op", "binop_lhs", "binop_rhs")
+        return ins.BinOp(values[dst], op, values[lhs], values[rhs])
+    if kind == "alloc":
+        dst, flavor, obj, where, fields, asize = group(
+            "alloc_dst", "alloc_flavor", "alloc_obj", "alloc_kind",
+            "alloc_fields", "alloc_asize",
+        )
+        size, is_array = _sized(fields, asize)
         return ins.Alloc(
-            Var(match.group("dst")),
-            match.group("obj"),
-            initialized=match.group("flavor") == "T",
-            kind=match.group("kind"),
+            values[dst],
+            obj,
+            initialized=flavor == "T",
+            kind=where,
             size=size,
             is_array=is_array,
         )
-    match = _GEP_RE.fullmatch(body)
-    if match:
-        return ins.Gep(
-            Var(match.group("dst")),
-            _value(match.group("base")),
-            _value(match.group("off")),
-        )
-    match = _FUNCADDR_RE.fullmatch(body)
-    if match:
-        return ins.FuncAddr(Var(match.group("dst")), match.group("func"))
-    match = _GLOBALADDR_RE.fullmatch(body)
-    if match:
-        return ins.GlobalAddr(Var(match.group("dst")), match.group("glob"))
-    match = _CALL_RE.fullmatch(body)
-    if match and not _LOAD_RE.fullmatch(body):
-        args = [
-            _value(a.strip())
-            for a in match.group("args").split(",")
-            if a.strip()
-        ]
-        dst = Var(match.group("dst")) if match.group("dst") else None
-        callee: "str | Var" = (
-            Var(match.group("callee"))
-            if match.group("star")
-            else match.group("callee")
-        )
-        return ins.Call(dst, callee, args)
-    match = _LOAD_RE.fullmatch(body)
-    if match:
-        return ins.Load(Var(match.group("dst")), _value(match.group("ptr")))
-    match = _STORE_RE.fullmatch(body)
-    if match:
-        return ins.Store(_value(match.group("ptr")), _value(match.group("src")))
-    match = _BINOP_RE.fullmatch(body)
-    if match:
-        return ins.BinOp(
-            Var(match.group("dst")),
-            match.group("op"),
-            _value(match.group("lhs")),
-            _value(match.group("rhs")),
-        )
-    match = _UNOP_RE.fullmatch(body)
-    if match and not re.fullmatch(r"-?\d+", match.group("op") + match.group("val")):
-        return ins.UnOp(
-            Var(match.group("dst")), match.group("op"), _value(match.group("val"))
-        )
-    match = _COPY_RE.fullmatch(body)
-    if match:
-        value = _value(match.group("src"))
+    if kind == "copy":
+        dst, src = group("copy_dst", "copy_src")
+        value = values[src]
         if isinstance(value, Const):
-            return ins.ConstCopy(Var(match.group("dst")), value.value)
-        return ins.Copy(Var(match.group("dst")), value)
-    match = _BRANCH_RE.fullmatch(body)
-    if match:
-        return ins.Branch(
-            _value(match.group("cond")),
-            match.group("then"),
-            match.group("els"),
+            return ins.ConstCopy(values[dst], value.value)
+        return ins.Copy(values[dst], value)
+    if kind == "call":
+        dst, star, callee, args = group("call_dst", "call_star", "call_callee", "call_args")
+        return ins.Call(
+            values[dst] if dst else None,
+            values[callee] if star else callee,
+            [values[a.strip()] for a in args.split(",") if a.strip()],
         )
-    match = _JUMP_RE.fullmatch(body)
-    if match:
-        return ins.Jump(match.group("target"))
-    match = _RET_RE.fullmatch(body)
-    if match:
-        value = _value(match.group("val")) if match.group("val") else None
-        return ins.Ret(value)
-    match = _OUTPUT_RE.fullmatch(body)
-    if match:
-        return ins.Output(_value(match.group("val")))
-    raise IRParseError("unrecognized instruction", line_no, raw)
+    if kind == "gep":
+        dst, base, off = group("gep_dst", "gep_base", "gep_off")
+        return ins.Gep(values[dst], values[base], values[off])
+    if kind == "funcaddr":
+        dst, func = group("funcaddr_dst", "funcaddr_func")
+        return ins.FuncAddr(values[dst], func)
+    if kind == "globaladdr":
+        dst, glob = group("globaladdr_dst", "globaladdr_glob")
+        return ins.GlobalAddr(values[dst], glob)
+    if kind == "unop":
+        dst, op, val = group("unop_dst", "unop_op", "unop_val")
+        return ins.UnOp(values[dst], op, values[val])
+    if kind == "branch":
+        cond, then, els = group("branch_cond", "branch_then", "branch_els")
+        return ins.Branch(values[cond], then, els)
+    if kind == "jump":
+        return ins.Jump(group("jump_target"))
+    if kind == "ret":
+        value = group("ret_val")
+        return ins.Ret(values[value] if value else None)
+    return ins.Output(values[group("output_val")])

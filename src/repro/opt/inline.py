@@ -10,16 +10,22 @@ top-level copies) inside the function.
 Inlining is performed on the pre-SSA IR: callee blocks are cloned with
 renamed labels and variables, formals become copies of the actuals, and
 each ``ret`` becomes a copy to the call result plus a jump to the
-continuation block.
+continuation block.  Each inlined call gets a tag ``inlN`` appended to
+the names it makes; N counts up from one above the highest tag the
+module already holds, so the pipeline's output depends on its input
+module alone and tags never clash with existing names.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Set
+import itertools
+import re
+from typing import Dict, Iterator, Set
 
 from repro.ir import instructions as ins
 from repro.ir.function import Block, Function
 from repro.ir.module import Module
+from repro.ir.printer import module_to_str
 from repro.ir.values import Const, Value, Var
 
 
@@ -85,6 +91,7 @@ def inline_fp_functions(module: Module, max_rounds: int = 5) -> int:
     Returns the number of call sites inlined.  Re-assigns uids.
     """
     total = 0
+    tags = _fresh_tags(module)
     for _ in range(max_rounds):
         targets = {
             name
@@ -98,7 +105,7 @@ def inline_fp_functions(module: Module, max_rounds: int = 5) -> int:
         for function in list(module.functions.values()):
             if function.name in targets:
                 continue  # inline into non-targets first; next round fixes up
-            round_count += _inline_calls_in(module, function, targets)
+            round_count += _inline_calls_in(module, function, targets, tags)
         if round_count == 0:
             break
         total += round_count
@@ -109,18 +116,29 @@ def inline_fp_functions(module: Module, max_rounds: int = 5) -> int:
 def inline_call_sites(module: Module, targets: Set[str]) -> int:
     """Inline every direct call to any function named in ``targets``."""
     total = 0
+    tags = _fresh_tags(module)
     for function in list(module.functions.values()):
         if function.name in targets:
             continue
-        total += _inline_calls_in(module, function, targets)
+        total += _inline_calls_in(module, function, targets, tags)
     module.assign_uids()
     return total
 
 
-_UNIQUE = [0]
+_TAG_RE = re.compile(r"\.inl(\d+)")
 
 
-def _inline_calls_in(module: Module, function: Function, targets: Set[str]) -> int:
+def _fresh_tags(module: Module) -> Iterator[str]:
+    """``inlN`` tags for N above every tag ``module`` holds when the
+    first is drawn (a module nothing is inlined into is never printed)."""
+    used = [int(n) for n in _TAG_RE.findall(module_to_str(module))]
+    for n in itertools.count(max(used, default=0) + 1):
+        yield f"inl{n}"
+
+
+def _inline_calls_in(
+    module: Module, function: Function, targets: Set[str], tags: Iterator[str]
+) -> int:
     count = 0
     changed = True
     while changed:
@@ -132,7 +150,7 @@ def _inline_calls_in(module: Module, function: Function, targets: Set[str]) -> i
                     and not instr.is_indirect
                     and instr.callee in targets
                 ):
-                    _inline_one(module, function, block, index)
+                    _inline_one(module, function, block, index, next(tags))
                     count += 1
                     changed = True
                     break
@@ -141,12 +159,12 @@ def _inline_calls_in(module: Module, function: Function, targets: Set[str]) -> i
     return count
 
 
-def _inline_one(module: Module, function: Function, block: Block, index: int) -> None:
+def _inline_one(
+    module: Module, function: Function, block: Block, index: int, tag: str
+) -> None:
     call = block.instrs[index]
     assert isinstance(call, ins.Call) and not call.is_indirect
     callee = module.functions[call.callee]
-    _UNIQUE[0] += 1
-    tag = f"inl{_UNIQUE[0]}"
 
     rename_var: Dict[str, str] = {}
 

@@ -2,11 +2,14 @@
 
 An :class:`AnalysisSession` holds one module under one configuration
 between queries: the canonical pre-pipeline text of every function, the
-post-pipeline module, and the analysis result.  :meth:`AnalysisSession.
-update` replaces one function body and re-analyzes the whole module
-cold — reparse, optimization pipeline, verifier, then
-:func:`repro.core.usher.prepare_module` + ``run_usher`` — exactly the
-one-shot pipeline of Figure 3.
+analyzed (memory-SSA) module, and the analysis result.
+:meth:`AnalysisSession.update` replaces one function body and
+re-analyzes the whole module cold — reparse, optimization pipeline,
+verifier, then :func:`repro.core.usher.prepare_module` + ``run_usher``
+on that freshly built module — exactly the one-shot pipeline of
+Figure 3.  No copy of the module is kept: the post-pipeline module
+without memory SSA (:attr:`AnalysisSession.pristine`) is rebuilt from
+the texts on first read in a generation.
 
 Updates are cold on purpose: a warm-start design (cached constraint
 tapes, a warm-restarted solver, carried demand memos) cost about 2.4x
@@ -15,16 +18,17 @@ measurement and the incremental route worth taking instead.
 
 Identifier stability across edits comes from a uid transplant: the new
 module's instructions are re-assigned the uids of textually identical
-instructions in the previous module (whole function, else a
+instructions of the previous generation (whole function, else a
 prefix/suffix match), and only genuinely new instructions get fresh
-uids.  The differential suite pins every ``update()`` result —
+uids.  Each rebuild keeps a per-function snapshot of the printed
+post-pipeline instructions and their uids for the next one to match
+against.  The differential suite pins every ``update()`` result —
 points-to sets, instrumentation plans, Γ verdicts — identical to a
 cold ``prepare_module`` + ``run_usher`` of the same module.
 """
 
 from __future__ import annotations
 
-import pickle
 import time
 from dataclasses import asdict, dataclass, replace
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -90,11 +94,8 @@ def plan_signature(plan: InstrumentationPlan):
     )
 
 
-def _copy_module(module: Module) -> Module:
-    """A deep copy of ``module``.  The IR defines no copy or pickle
-    hooks, so a pickle round trip copies exactly what
-    ``copy.deepcopy`` would, at a third of its cost."""
-    return pickle.loads(pickle.dumps(module, pickle.HIGHEST_PROTOCOL))
+#: Per function: the printed post-pipeline instructions and their uids.
+Snapshot = Dict[str, Tuple[List[str], List[int]]]
 
 
 # ----------------------------------------------------------------------
@@ -139,7 +140,8 @@ class AnalysisSession:
     Construct with :meth:`from_source` (TinyC) or :meth:`from_ir`;
     edit with :meth:`update`; query with :meth:`query_sites` /
     :meth:`explain`.  All results are bit-identical to a cold analysis
-    of the session's current module.
+    of the session's current module.  The constructor takes ownership
+    of ``module``: the pipeline and the analysis run on it in place.
     """
 
     def __init__(
@@ -166,7 +168,9 @@ class AnalysisSession:
             for fname, fn in module.functions.items()
         }
 
-        #: post-pipeline, never memory-SSA'd — what the solvers index.
+        #: The last rebuild's post-pipeline instructions and uids.
+        self._snapshot: Optional[Snapshot] = None
+        #: Derived from the texts on first read; dropped by a rebuild.
         self._pristine: Optional[Module] = None
         self._prepared: Optional[PreparedModule] = None
         self._result: Optional[UsherResult] = None
@@ -263,8 +267,29 @@ class AnalysisSession:
     @property
     def pristine(self) -> Module:
         """The post-pipeline module *without* memory-SSA annotations —
-        deep-copy it to feed a cold ``prepare_module`` oracle."""
-        assert self._pristine is not None
+        deep-copy it to feed a cold ``prepare_module`` oracle.
+
+        Derived on the first read in a generation — the committed
+        texts through the same parse, pipeline and verifier as an
+        update, with the generation's uids restored by position — and
+        cached until the next update.  ``Instr.line`` is not carried.
+        """
+        if self._pristine is None:
+            assert self._snapshot is not None
+            module = parse_ir(self._module_text(self._fn_texts))
+            run_pipeline(module, self._level)
+            verify_module(module)
+            for fname, fn in module.functions.items():
+                texts, uids = self._snapshot[fname]
+                instrs = list(fn.instructions())
+                if [str(instr) for instr in instrs] != texts:
+                    raise RuntimeError(
+                        f"pristine {fname!r} differs from the analyzed module"
+                    )
+                for instr, uid in zip(instrs, uids):
+                    instr.uid = uid
+            module.assign_uids()
+            self._pristine = module
         return self._pristine
 
     @property
@@ -309,27 +334,31 @@ class AnalysisSession:
         ``new_body`` is the function's new pre-pipeline IR text (the
         dialect :meth:`function_text` returns).  Raises ``KeyError``
         for unknown functions and ``ValueError`` if the replacement
-        renames the function or changes the module's function set.
-        An update that raises (a parse or verifier error included)
-        leaves the session unchanged.
+        renames the function, changes the module's function set or
+        declares globals.  An update that raises (a parse or verifier
+        error included) leaves the session unchanged.
         """
         if function_name not in self._fn_texts:
             raise KeyError(f"unknown function {function_name!r}")
         candidate = dict(self._fn_texts)
         candidate[function_name] = new_body.strip("\n")
-        text = "\n\n".join([self._header] + list(candidate.values()))
-        module = parse_ir(text)
+        module = parse_ir(self._module_text(candidate))
         if set(module.functions) != set(self._fn_texts):
             raise ValueError(
                 "update() must keep the module's function set: "
                 f"got {sorted(module.functions)}"
             )
-        texts = {
-            fname: function_to_str(fn)
-            for fname, fn in module.functions.items()
-        }
+        if self._globals_header(module) != self._header:
+            raise ValueError(
+                "update() must keep the module's globals: "
+                f"got {sorted(module.globals)}"
+            )
+        # Every other text is already canonical.
+        candidate[function_name] = function_to_str(
+            module.functions[function_name]
+        )
         stats = self._rebuild(module, edited=function_name)
-        self._fn_texts = texts
+        self._fn_texts = candidate
         return stats
 
     def query_sites(
@@ -396,6 +425,9 @@ class AnalysisSession:
         return payload
 
     # -- rebuild pipeline -----------------------------------------------
+    def _module_text(self, texts: Dict[str, str]) -> str:
+        return "\n\n".join([self._header] + list(texts.values()))
+
     def _rebuild(
         self, pre_module: Module, edited: Optional[str]
     ) -> UpdateStats:
@@ -410,14 +442,14 @@ class AnalysisSession:
         started = time.perf_counter()
         run_pipeline(module, self._level)
         verify_module(module)
-        if self._pristine is not None:
-            _transplant_uids(module, self._pristine)
-        prepared = prepare_module(_copy_module(module))
+        snapshot = _transplant_uids(module, self._snapshot)
+        prepared = prepare_module(module)
         result = run_usher(prepared, self._config)
 
         # Commit only once every phase has succeeded, so a failing
         # edit leaves the session as it was.
-        self._pristine = module
+        self._snapshot = snapshot
+        self._pristine = None
         self._prepared = prepared
         self._result = result
         if edited is not None:
@@ -451,43 +483,44 @@ class AnalysisSession:
 # ----------------------------------------------------------------------
 # uid transplantation
 # ----------------------------------------------------------------------
-def _transplant_uids(module: Module, old: Module) -> None:
-    """Re-assign the previous module's uids to textually matching
-    instructions of the new one.
+def _transplant_uids(module: Module, old: Optional[Snapshot]) -> Snapshot:
+    """Re-assign the previous generation's uids to textually matching
+    instructions of ``module``; return ``module``'s snapshot.
 
-    Per function: identical text copies uids positionally; otherwise
-    the longest common prefix and (non-overlapping) suffix of the
-    instruction streams keep their uids and the middle gets fresh ones.
+    Per function, the longest common prefix and (non-overlapping)
+    suffix of the printed instruction streams keep their uids and the
+    middle gets fresh ones, so an unchanged function keeps all of them.
     ``Module.assign_uids`` then fills every unmatched instruction with
     ids above the transplanted maximum — uid stability is what keeps
     plan comparisons and the uids a client holds (``query_sites``,
-    ``explain``) aligned across edits.
+    ``explain``) aligned across edits.  With no previous snapshot (the
+    initial build) the uids are left as they are.
     """
-    for fn in module.functions.values():
-        for instr in fn.instructions():
+    printed = {}
+    for name, fn in module.functions.items():
+        instrs = list(fn.instructions())
+        texts = [str(instr) for instr in instrs]
+        printed[name] = (instrs, texts)
+        if old is None:
+            continue
+        for instr in instrs:
             instr.uid = -1
-    for name, fn_new in module.functions.items():
-        fn_old = old.functions.get(name)
-        if fn_old is None:
-            continue
-        new_instrs = list(fn_new.instructions())
-        old_instrs = list(fn_old.instructions())
-        if function_to_str(fn_new) == function_to_str(fn_old):
-            for instr_new, instr_old in zip(new_instrs, old_instrs):
-                instr_new.uid = instr_old.uid
-            continue
-        new_texts = [str(instr) for instr in new_instrs]
-        old_texts = [str(instr) for instr in old_instrs]
-        limit = min(len(new_texts), len(old_texts))
+        old_texts, old_uids = old[name]
+        limit = min(len(texts), len(old_texts))
         prefix = 0
-        while prefix < limit and new_texts[prefix] == old_texts[prefix]:
-            new_instrs[prefix].uid = old_instrs[prefix].uid
+        while prefix < limit and texts[prefix] == old_texts[prefix]:
+            instrs[prefix].uid = old_uids[prefix]
             prefix += 1
         suffix = 0
         while (
             suffix < limit - prefix
-            and new_texts[-1 - suffix] == old_texts[-1 - suffix]
+            and texts[-1 - suffix] == old_texts[-1 - suffix]
         ):
-            new_instrs[-1 - suffix].uid = old_instrs[-1 - suffix].uid
+            instrs[-1 - suffix].uid = old_uids[-1 - suffix]
             suffix += 1
-    module.assign_uids()
+    if old is not None:
+        module.assign_uids()
+    return {
+        name: (texts, [instr.uid for instr in instrs])
+        for name, (instrs, texts) in printed.items()
+    }

@@ -4,7 +4,9 @@ The contract is absolute: after any sequence of updates, the session's
 points-to sets, instrumentation plan and Γ verdicts must be
 *bit-identical* to a from-scratch ``prepare_module`` + ``run_usher``
 of the session's current module, and every function an edit left
-textually unchanged keeps its instruction uids.
+textually unchanged keeps its instruction uids.  The session's
+``pristine`` module, derived on demand, is checked against the module
+it analyzed after every step.
 """
 
 import copy
@@ -83,10 +85,33 @@ def _cold_oracle(session):
 
 
 def _assert_bit_identical(session):
+    _assert_pristine_contract(session)
     cold_prep, cold, cold_verdicts = _cold_oracle(session)
     assert session.pointers.pts == cold_prep.pointers.pts
     assert plan_signature(session.plan) == plan_signature(cold.plan)
     assert session.query_sites() == cold_verdicts
+
+
+def _assert_pristine_contract(session):
+    """``pristine`` is the analyzed module without memory SSA: its own
+    object, cached per generation, and free to read."""
+    signature = plan_signature(session.plan)
+    generation = session.generation
+    pristine = session.pristine
+    assert session.pristine is pristine
+    assert pristine is not session.module
+    assert pristine.name == session.module.name
+    analyzed = {i.uid: i for i in session.module.instructions()}
+    for fname, fn in pristine.functions.items():
+        for block in fn.blocks:
+            assert not block.mem_phis
+            for instr in block.instrs:
+                assert not instr.mus and not instr.chis
+                twin = analyzed[instr.uid]
+                assert type(twin) is type(instr)
+                assert twin.block.function.name == fname
+    assert plan_signature(session.plan) == signature
+    assert session.generation == generation
 
 
 def _snapshot(session):
@@ -190,6 +215,29 @@ class TestEditSequences:
             _apply(session, step)
 
 
+class TestInlinedModule:
+    """The pipeline inlines ``apply`` (a function-pointer parameter)
+    into ``main``; the inlined names must not shift between rebuilds."""
+
+    SOURCE = """
+    def apply(f, x) { return f(x); }
+    def inc(v) { var w = v + 1; return w; }
+    def main() { var a = apply(inc, 1); var b; if (a > 1) { b = apply(inc, a); } output(b); return 0; }
+    """
+
+    def test_untouched_inlined_caller_keeps_its_uids(self):
+        session = AnalysisSession.from_source(self.SOURCE, name="inl")
+        _assert_bit_identical(session)
+        assert any(
+            ".inl" in block.label
+            for block in session.pristine.functions["main"].blocks
+        )
+        kept = _apply(session, ("const", "inc", _const_edit(session, "inc")))
+        assert kept == len(session.function_names()) - 1
+        for step in _random_steps(session, random.Random(3), 4):
+            _apply(session, step)
+
+
 class TestUpdateValidation:
     def test_unknown_function(self):
         session = AnalysisSession.from_source(PROGRAM, name="prog")
@@ -203,6 +251,29 @@ class TestUpdateValidation:
         )
         with pytest.raises(ValueError):
             session.update("leaf", renamed)
+
+    def test_module_name_survives_updates(self):
+        session = AnalysisSession.from_source(PROGRAM, name="gen-f2")
+        assert session.module.name == session.pristine.name == "gen-f2"
+        session.update("leaf", _const_edit(session, "leaf"))
+        assert session.module.name == session.pristine.name == "gen-f2"
+
+    def test_declared_global_rejected(self):
+        session = AnalysisSession.from_source(PROGRAM, name="prog")
+        session.update("leaf", _const_edit(session, "leaf"))
+        texts = {f: session.function_text(f) for f in session.function_names()}
+        signature = plan_signature(session.plan)
+        generation, last = session.generation, session.last_update
+        body = "global zz (init=F)\n" + session.function_text("main")
+        with pytest.raises(ValueError, match="globals"):
+            session.update("main", body)
+        assert {
+            f: session.function_text(f) for f in session.function_names()
+        } == texts
+        assert plan_signature(session.plan) == signature
+        assert session.generation == generation
+        assert session.last_update is last
+        assert "zz" not in session.module.globals
 
     def test_generation_counts_updates(self):
         session = AnalysisSession.from_source(PROGRAM, name="prog")

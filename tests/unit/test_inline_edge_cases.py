@@ -1,7 +1,7 @@
 """Edge-case tests for the function-pointer-argument inliner."""
 
 from repro.ir import instructions as ins
-from repro.ir import verify_module
+from repro.ir import module_to_str, verify_module
 from repro.opt import functions_with_fp_params, inline_call_sites, inline_fp_functions
 from repro.runtime import run_native
 from repro.tinyc import compile_source
@@ -158,3 +158,31 @@ class TestInlining:
         assert len(alloc_names) == 2
         assert len(set(alloc_names)) == 2  # distinct object names
         assert run_native(module).exit_value == 2
+
+
+class TestTags:
+    SOURCE = """
+        def apply(f, x) { return f(x); }
+        def inc(v) { return v + 1; }
+        def twice(v) { return v * 2; }
+        def main() { var a = apply(inc, 1); var b = twice(a); return apply(inc, b); }
+        """
+
+    def test_tags_depend_on_the_module_alone(self):
+        first = compile_(self.SOURCE)
+        inline_fp_functions(first)
+        # Inlining elsewhere in the process does not shift the tags.
+        inline_fp_functions(compile_(self.SOURCE))
+        second = compile_(self.SOURCE)
+        inline_fp_functions(second)
+        assert module_to_str(first) == module_to_str(second)
+        assert "cont.inl1" in module_to_str(first)
+
+    def test_tags_skip_the_ones_a_module_holds(self):
+        module = compile_(self.SOURCE)
+        assert inline_call_sites(module, {"apply"}) == 2
+        assert inline_call_sites(module, {"twice"}) == 1
+        printed = module_to_str(module)
+        assert "cont.inl2" in printed and "cont.inl3" in printed
+        verify_module(module)
+        assert run_native(module).exit_value == 5
