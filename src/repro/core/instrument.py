@@ -117,6 +117,7 @@ class _Generator:
         self.plan = InstrumentationPlan(name)
         self.stats = GuidedStats()
         self.by_uid = module.instr_by_uid()
+        self._node_table = vfg.node_table()
         self._demanded: Set[Node] = set()
         self._work: List[Node] = []
 
@@ -146,10 +147,23 @@ class _Generator:
         self._work.append(node)
 
     def _demand_deps(self, node: Node, mem_only: bool = False) -> None:
-        for edge in self.vfg.deps_of(node):
-            if mem_only and isinstance(edge.src, TopNode):
+        """Demand ``node``'s VFG predecessors (only the memory ones with
+        ``mem_only``), in ``deps_of`` order: :meth:`demand`, inlined,
+        over the id-level rows."""
+        nid = self.vfg.node_id(node)
+        if nid is None:
+            return
+        table = self._node_table
+        demanded = self._demanded
+        work = self._work
+        for src_id, _, _, _ in self.vfg.rows_into(nid):
+            src = table[src_id]
+            if mem_only and isinstance(src, TopNode):
                 continue
-            self.demand(edge.src)
+            if isinstance(src, Root) or src in demanded:
+                continue
+            demanded.add(src)
+            work.append(src)
 
     # ------------------------------------------------------------------
     def _emit(self, node: Node) -> None:

@@ -275,7 +275,10 @@ class InstrumentationPlan:
         self.entry_ops: Dict[str, List[ShadowOp]] = {}
 
     def at(self, uid: int) -> InstrOps:
-        return self.ops.setdefault(uid, InstrOps())
+        ops = self.ops.get(uid)
+        if ops is None:
+            ops = self.ops[uid] = InstrOps()
+        return ops
 
     def add_pre(self, uid: int, op: ShadowOp) -> None:
         slot = self.at(uid)

@@ -83,17 +83,19 @@ class Module:
         """
         seen = set()
         max_uid = -1
-        for instr in self.instructions():
-            if instr.uid >= 0 and instr.uid not in seen:
-                seen.add(instr.uid)
-                max_uid = max(max_uid, instr.uid)
-            else:
-                instr.uid = -1
-        next_uid = max_uid + 1
-        for instr in self.instructions():
-            if instr.uid < 0:
-                instr.uid = next_uid
-                next_uid += 1
+        fresh = []  # instructions without a uid or with a duplicate one
+        for function in self.functions.values():
+            for block in function.blocks:
+                for instr in block.instrs:
+                    uid = instr.uid
+                    if uid >= 0 and uid not in seen:
+                        seen.add(uid)
+                        if uid > max_uid:
+                            max_uid = uid
+                    else:
+                        fresh.append(instr)
+        for next_uid, instr in enumerate(fresh, start=max_uid + 1):
+            instr.uid = next_uid
         self._uid_cache = None
 
     def instr_by_uid(self) -> Dict[int, Instr]:

@@ -166,59 +166,70 @@ def parse_ir(text: str) -> Module:
     first = True
     values = _Operands()
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        header, first = first, False
-        if line[0] == ";":
-            if header and line.startswith(_MODULE_PREFIX):
-                module.name = line[len(_MODULE_PREFIX):]
-            continue
-
-        if line.startswith("global"):
-            match = _GLOBAL_RE.fullmatch(line)
-            if match:
-                size, is_array = _sized(match.group("fields"), match.group("asize"))
-                module.add_global(
-                    GlobalVariable(
-                        match.group("name"),
-                        initialized=match.group("init") == "T",
-                        size=size,
-                        is_array=is_array,
-                    )
-                )
+    try:
+        for line_no, raw in enumerate(text.splitlines(), start=1):
+            line = raw.strip()
+            if not line:
                 continue
-        elif line.startswith("def"):
-            match = _DEF_RE.fullmatch(line)
-            if match:
-                params = [
-                    p.strip() for p in match.group("params").split(",") if p.strip()
-                ]
-                function = Function(match.group("name"), params)
-                module.add_function(function)
+            header, first = first, False
+            if line[0] == ";":
+                if header and line.startswith(_MODULE_PREFIX):
+                    module.name = line[len(_MODULE_PREFIX):]
+                continue
+
+            if line.startswith("global"):
+                match = _GLOBAL_RE.fullmatch(line)
+                if match:
+                    size, is_array = _sized(
+                        match.group("fields"), match.group("asize")
+                    )
+                    module.add_global(
+                        GlobalVariable(
+                            match.group("name"),
+                            initialized=match.group("init") == "T",
+                            size=size,
+                            is_array=is_array,
+                        )
+                    )
+                    continue
+            elif line.startswith("def"):
+                match = _DEF_RE.fullmatch(line)
+                if match:
+                    params = [
+                        p.strip()
+                        for p in match.group("params").split(",")
+                        if p.strip()
+                    ]
+                    function = Function(match.group("name"), params)
+                    module.add_function(function)
+                    block = None
+                    continue
+            elif line == "}":
+                function = None
                 block = None
                 continue
-        elif line == "}":
-            function = None
-            block = None
-            continue
 
-        if function is None:
-            raise IRParseError("instruction outside a function", line_no, raw)
+            if function is None:
+                raise IRParseError(
+                    "instruction outside a function", line_no, raw
+                )
 
-        if line[-1] == ":":
-            match = _LABEL_RE.fullmatch(line)
-            if match:
-                block = function.add_block(match.group("label"))
-                continue
+            if line[-1] == ":":
+                match = _LABEL_RE.fullmatch(line)
+                if match:
+                    block = function.add_block(match.group("label"))
+                    continue
 
-        if block is None:
-            raise IRParseError("instruction outside a block", line_no, raw)
+            if block is None:
+                raise IRParseError("instruction outside a block", line_no, raw)
 
-        if "[" in line:
-            line = _ANNOT_RE.sub("", line)
-        block.append(_parse_instr(line, line_no, raw, values))
+            if "[" in line:
+                line = _ANNOT_RE.sub("", line)
+            block.append(_parse_instr(line, line_no, raw, values))
+    except ValueError as error:
+        # The IR containers reject a duplicate function, global or block
+        # label, an instruction after a terminator and a zero size.
+        raise IRParseError(str(error), line_no, raw) from None
 
     module.assign_uids()
     return module

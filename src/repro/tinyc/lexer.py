@@ -5,12 +5,22 @@ write realistic whole programs: functions, globals, records and arrays,
 pointers, heap allocation, arithmetic/logic expressions, ``if``/``while``
 control flow and an ``output`` statement standing in for externally
 observable writes.
+
+The scanner is one compiled master pattern, matched token by token with
+``finditer``: every character of the input starts exactly one of its
+alternatives, the last of which (a single character) is always an
+error.  Positions come from counting newlines: the scanner keeps the
+current line and the offset where it begins, and a token's column is its
+offset from there, plus one.  Whitespace is exactly space, tab, CR and
+LF; numbers are ASCII ``[0-9]+``; an identifier starts with a character
+``str.isalpha()`` accepts (or ``_``) and continues with ones
+``str.isalnum()`` accepts (or ``_``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List, Optional
+import re
+from typing import List, NamedTuple, Optional
 
 KEYWORDS = frozenset(
     {
@@ -33,13 +43,6 @@ KEYWORDS = frozenset(
     }
 )
 
-#: Multi-character operators, longest first so maximal munch works.
-_OPERATORS = (
-    "<<", ">>", "<=", ">=", "==", "!=", "&&", "||",
-    "+", "-", "*", "/", "%", "<", ">", "=", "!", "~",
-    "&", "|", "^", "(", ")", "{", "}", "[", "]", ",", ";",
-)
-
 
 class TinyCSyntaxError(Exception):
     """A lexical or syntactic error, carrying source position when it
@@ -53,8 +56,26 @@ class TinyCSyntaxError(Exception):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Token:
+#: One alternative per token class, tried in order at each offset.  The
+#: operators are listed longest first, so maximal munch works.
+#: ``[^\W\d]`` (a word character that is no decimal digit) admits every
+#: ``isalpha()`` character and a few numeric ones (``²``, ``½``), which
+#: :func:`tokenize` rejects; ``\w`` is exactly ``isalnum()`` or ``_``.
+_TOKEN_RE = re.compile(
+    r"""
+      (?P<space>[ \t\r\n]+)
+    | (?P<comment>//[^\n]*|/\*.*?\*/)
+    | (?P<open_comment>/\*)
+    | (?P<number>[0-9]+)
+    | (?P<ident>[^\W\d]\w*)
+    | (?P<op><<|>>|<=|>=|==|!=|&&|\|\||[-+*/%<>=!~&|^(){}\[\],;])
+    | (?P<bad>.)
+    """,
+    re.DOTALL | re.VERBOSE,
+)
+
+
+class Token(NamedTuple):
     kind: str  # "number" | "ident" | "keyword" | "op" | "eof"
     text: str
     line: int
@@ -66,71 +87,47 @@ class Token:
 
 def tokenize(source: str) -> List[Token]:
     """Tokenize ``source``, raising :class:`TinyCSyntaxError` on bad input."""
-    return list(_tokens(source))
-
-
-def _tokens(source: str) -> Iterator[Token]:
-    i = 0
+    tokens: List[Token] = []
+    append = tokens.append
+    new = tuple.__new__  # skips NamedTuple's Python-level __new__
+    keywords = KEYWORDS
     line = 1
-    col = 1
-    n = len(source)
-
-    def advance(count: int) -> None:
-        nonlocal i, line, col
-        for _ in range(count):
-            if i < n and source[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        ch = source[i]
-        if ch in " \t\r\n":
-            advance(1)
+    bol = 0  # offset of the current line's first character
+    for match in _TOKEN_RE.finditer(source):
+        kind = match.lastgroup
+        if kind == "space" or kind == "comment":
+            start, end = match.span()
+            newlines = source.count("\n", start, end)
+            if newlines:
+                line += newlines
+                bol = source.rindex("\n", start, end) + 1
             continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                advance(1)
-            continue
-        if source.startswith("/*", i):
-            start_line, start_col = line, col
-            advance(2)
-            while i < n and not source.startswith("*/", i):
-                advance(1)
-            if i >= n:
+        text = match.group()
+        start = match.start()
+        if kind == "ident":
+            # Every ASCII match starts with a letter or "_" (all <= "z").
+            if text[0] > "z" and not text[0].isalpha():
                 raise TinyCSyntaxError(
-                    "unterminated block comment", start_line, start_col
+                    f"unexpected character {text[0]!r}", line, start - bol + 1
                 )
-            advance(2)
-            continue
-        if ch.isdigit():
-            start = i
-            start_line, start_col = line, col
-            while i < n and source[i].isdigit():
-                advance(1)
-            if i < n and (source[i].isalpha() or source[i] == "_"):
-                raise TinyCSyntaxError(
-                    f"bad number suffix {source[i]!r}", line, col
-                )
-            yield Token("number", source[start:i], start_line, start_col)
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            start_line, start_col = line, col
-            while i < n and (source[i].isalnum() or source[i] == "_"):
-                advance(1)
-            text = source[start:i]
-            kind = "keyword" if text in KEYWORDS else "ident"
-            yield Token(kind, text, start_line, start_col)
-            continue
-        for op in _OPERATORS:
-            if source.startswith(op, i):
-                start_line, start_col = line, col
-                advance(len(op))
-                yield Token("op", op, start_line, start_col)
-                break
-        else:
-            raise TinyCSyntaxError(f"unexpected character {ch!r}", line, col)
-    yield Token("eof", "", line, col)
+            if text in keywords:
+                kind = "keyword"
+        elif kind == "number":
+            end = match.end()
+            if end < len(source):
+                after = source[end]
+                if after.isalpha() or after == "_":
+                    raise TinyCSyntaxError(
+                        f"bad number suffix {after!r}", line, end - bol + 1
+                    )
+        elif kind == "open_comment":
+            raise TinyCSyntaxError(
+                "unterminated block comment", line, start - bol + 1
+            )
+        elif kind == "bad":
+            raise TinyCSyntaxError(
+                f"unexpected character {text!r}", line, start - bol + 1
+            )
+        append(new(Token, (kind, text, line, start - bol + 1)))
+    append(Token("eof", "", line, len(source) - bol + 1))
+    return tokens

@@ -66,36 +66,40 @@ class _Parser:
     # ------------------------------------------------------------------
     # Token helpers
     # ------------------------------------------------------------------
-    @property
-    def _tok(self) -> Token:
-        return self._tokens[self._pos]
-
+    # The current token is read as ``self._tokens[self._pos]`` in place:
+    # these probes run tens of thousands of times per module, and a
+    # property call would be most of their cost.
     def _advance(self) -> Token:
-        tok = self._tok
+        tok = self._tokens[self._pos]
         if tok.kind != "eof":
             self._pos += 1
         return tok
 
     def _check(self, kind: str, text: Optional[str] = None) -> bool:
-        tok = self._tok
+        tok = self._tokens[self._pos]
         return tok.kind == kind and (text is None or tok.text == text)
 
     def _accept(self, kind: str, text: Optional[str] = None) -> Optional[Token]:
-        if self._check(kind, text):
-            return self._advance()
+        tok = self._tokens[self._pos]
+        if tok.kind == kind and (text is None or tok.text == text):
+            if kind != "eof":
+                self._pos += 1
+            return tok
         return None
 
     def _expect(self, kind: str, text: Optional[str] = None) -> Token:
-        if not self._check(kind, text):
-            tok = self._tok
+        tok = self._tokens[self._pos]
+        if tok.kind != kind or (text is not None and tok.text != text):
             want = text if text is not None else kind
             raise TinyCSyntaxError(
                 f"expected {want!r}, found {tok.text!r}", tok.line, tok.col
             )
-        return self._advance()
+        if kind != "eof":
+            self._pos += 1
+        return tok
 
     def _error(self, message: str) -> TinyCSyntaxError:
-        tok = self._tok
+        tok = self._tokens[self._pos]
         return TinyCSyntaxError(message, tok.line, tok.col)
 
     # ------------------------------------------------------------------
@@ -110,7 +114,7 @@ class _Parser:
                 program.functions.append(self._func_def())
             else:
                 raise self._error(
-                    f"expected 'global' or 'def', found {self._tok.text!r}"
+                    f"expected 'global' or 'def', found {self._tokens[self._pos].text!r}"
                 )
         return program
 
@@ -167,7 +171,7 @@ class _Parser:
         return stmts
 
     def _statement(self) -> ast.Node:
-        tok = self._tok
+        tok = self._tokens[self._pos]
         if self._check("keyword", "var"):
             return self._var_stmt()
         if self._check("keyword", "if"):
@@ -264,7 +268,7 @@ class _Parser:
     def _expression(self, min_prec: int = 1) -> ast.Expr:
         lhs = self._unary()
         while True:
-            tok = self._tok
+            tok = self._tokens[self._pos]
             if tok.kind != "op":
                 break
             prec = _BINARY_PRECEDENCE.get(tok.text)
@@ -281,7 +285,7 @@ class _Parser:
         return lhs
 
     def _unary(self) -> ast.Expr:
-        tok = self._tok
+        tok = self._tokens[self._pos]
         if tok.kind == "op" and tok.text in ("-", "!", "~"):
             self._advance()
             operand = self._unary()
@@ -297,7 +301,7 @@ class _Parser:
     def _postfix(self) -> ast.Expr:
         expr = self._primary()
         while True:
-            tok = self._tok
+            tok = self._tokens[self._pos]
             if self._accept("op", "("):
                 args: List[ast.Expr] = []
                 if not self._check("op", ")"):
@@ -314,7 +318,7 @@ class _Parser:
                 return expr
 
     def _primary(self) -> ast.Expr:
-        tok = self._tok
+        tok = self._tokens[self._pos]
         if tok.kind == "number":
             self._advance()
             return ast.NumberExpr(line=tok.line, value=int(tok.text))

@@ -196,6 +196,29 @@ class TestUnreadableInput:
         assert line.startswith("error: cannot read")
 
 
+class TestNonAsciiDigits:
+    """A digit outside ASCII ``0-9`` is a compile error at its position,
+    not a ``ValueError`` traceback nor a silently read number."""
+
+    @pytest.mark.parametrize(
+        "literal, col",
+        [("1\u00b2", 12), ("\u0663", 11)],
+        ids=["superscript", "arabic_indic"],
+    )
+    @pytest.mark.parametrize("command", ["run", "check"])
+    def test_compile_error(self, command, literal, col, tmp_path, capsys):
+        path = tmp_path / "digits.tc"
+        path.write_text(
+            f"def main() {{\n  var x = {literal};\n  return x;\n}}\n",
+            encoding="utf-8",
+        )
+        assert main([command, str(path)]) == 2
+        line = one_clean_error_line(capsys)
+        assert line == (
+            f"compile error: 2:{col}: unexpected character {literal[-1]!r}"
+        )
+
+
 class TestDeepNesting:
     """Nesting deeper than the parser and lowering can recurse is a
     compile error, not a ``RecursionError`` traceback."""

@@ -16,6 +16,7 @@ import re
 import pytest
 
 from repro.core import prepare_module, run_usher
+from repro.ir.parser import IRParseError
 from repro.ir.printer import function_to_str
 from repro.ir.verifier import VerificationError
 from repro.options import AnalysisOptions
@@ -274,6 +275,25 @@ class TestUpdateValidation:
         assert session.generation == generation
         assert session.last_update is last
         assert "zz" not in session.module.globals
+
+    def test_unparseable_update_leaves_the_session_unchanged(self):
+        session = AnalysisSession.from_source(PROGRAM, name="prog")
+        session.update("leaf", _const_edit(session, "leaf"))
+        texts = {f: session.function_text(f) for f in session.function_names()}
+        signature = plan_signature(session.plan)
+        generation, last = session.generation, session.last_update
+        lines = session.function_text("main").splitlines()
+        ret = next(i for i, line in enumerate(lines) if "ret " in line)
+        # An instruction after the block's terminator.
+        lines.insert(ret + 1, "    zz := 1")
+        with pytest.raises(IRParseError, match="already has a terminator"):
+            session.update("main", "\n".join(lines))
+        assert {
+            f: session.function_text(f) for f in session.function_names()
+        } == texts
+        assert plan_signature(session.plan) == signature
+        assert session.generation == generation
+        assert session.last_update is last
 
     def test_generation_counts_updates(self):
         session = AnalysisSession.from_source(PROGRAM, name="prog")

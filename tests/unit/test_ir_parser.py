@@ -253,6 +253,34 @@ class TestLanguagePins:
         assert raised.value.line_no == 3
 
     @pytest.mark.parametrize(
+        "text, line_no, message",
+        [
+            ("def main() {\ne:\n ret 0\n x := 1\n}", 4,
+             "block e already has a terminator"),
+            ("def main() {\ne:\n ret 0\n}\ndef main() {\ne:\n ret 0\n}", 5,
+             "duplicate function: main"),
+            ("global g (init=T)\nglobal g (init=F)", 2, "duplicate global: g"),
+            ("def main() {\ne:\n goto e\ne:\n ret 0\n}", 4,
+             "duplicate block label: e"),
+            ("global a (init=F array[0])", 1, "size must be >= 1"),
+            ("def main() {\ne:\n p := alloc_F o (stack, fields=0)\n ret 0\n}",
+             3, "size must be >= 1"),
+        ],
+        ids=["after_terminator", "function", "global", "label",
+             "global_size", "alloc_size"],
+    )
+    def test_container_errors_report_their_line(self, text, line_no, message):
+        """The module, function and block containers reject these with
+        a ``ValueError``; the parser names the offending line instead."""
+        with pytest.raises(IRParseError) as raised:
+            parse_ir(text)
+        assert raised.value.line_no == line_no
+        assert str(raised.value) == (
+            f"line {line_no}: {message}: "
+            f"{text.splitlines()[line_no - 1].strip()!r}"
+        )
+
+    @pytest.mark.parametrize(
         "path",
         sorted((Path(__file__).parents[1] / "data" / "corpus").glob("*.ir")),
         ids=lambda path: path.name,

@@ -83,3 +83,27 @@ class TestErrors:
     def test_bad_number_suffix(self):
         with pytest.raises(TinyCSyntaxError):
             tokenize("123abc")
+
+
+class TestNonAsciiDigits:
+    """Numbers are ASCII ``[0-9]+``: any other digit is a syntax error at
+    its own position, never a number nor a bare ``ValueError``."""
+
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            ("1²", "1:2: unexpected character '²'"),
+            ("²", "1:1: unexpected character '²'"),
+            ("x = ٣;", "1:5: unexpected character '٣'"),
+            ("12٣", "1:3: unexpected character '٣'"),
+            ("a\n １", "2:2: unexpected character '１'"),
+            ("½", "1:1: unexpected character '½'"),
+        ],
+    )
+    def test_rejected(self, source, message):
+        with pytest.raises(TinyCSyntaxError) as info:
+            tokenize(source)
+        assert str(info.value) == message
+
+    def test_identifier_may_continue_with_any_digit(self):
+        assert kinds("x٣ y²") == [("ident", "x٣"), ("ident", "y²")]
