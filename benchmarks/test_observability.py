@@ -31,7 +31,6 @@ from pathlib import Path
 from repro.api import analyze
 from repro.obs.registry import write_stats_row
 from repro.obs.trace import TRACE, validate_chrome_trace
-from repro.options import AnalysisOptions
 from repro.workloads import GeneratorParams, generate_program
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -58,9 +57,13 @@ def heavy_source() -> str:
 
 
 def run_heavy(source: str):
-    return analyze(
-        source=source, name=f"gen{SEED}", options=AnalysisOptions(demand=True)
-    )
+    """Analyze, run under ``usher`` and explain every warning, as
+    ``repro check --explain`` does: the explanations are the demand
+    queries."""
+    analysis = analyze(source=source, name=f"gen{SEED}")
+    for uid in sorted(analysis.run("usher").warning_set()):
+        analysis.explain(uid, config="usher")
+    return analysis
 
 
 class TestDisabledOverhead:

@@ -14,8 +14,8 @@ TinyC ``source`` or a compiled ``module``)::
     analysis.explain(uid)        # how F reaches it, step by step
     analysis.query_stats()       # what the queries actually visited
 
-Definedness options (demand-driven Γ, resolver, context depth, a
-single configuration) are passed as one
+Definedness options (resolver, context depth, a single
+configuration) are passed as one
 :class:`repro.options.AnalysisOptions` record (``analyze(options=...)``).
 For a long-lived program re-analyzed after each edit, see
 :class:`repro.service.session.AnalysisSession` and ``repro serve``.
@@ -218,19 +218,16 @@ def analyze(
     arguments are keyword-only.
 
     ``options`` (:class:`repro.options.AnalysisOptions`) sets the
-    definedness options of every configuration: ``demand=True``
-    resolves Γ demand-driven (backward slicing per node,
-    :mod:`repro.vfg.demand`), including Opt II's re-resolution —
-    bit-identical plans, different cost profile; ``resolver`` and
+    definedness options of every configuration: ``resolver`` and
     ``context_depth`` pick the context-matching discipline; ``config``
     analyzes that one configuration when ``configs`` is not given.
-    :meth:`Analysis.query` / :meth:`Analysis.explain` are demand-driven
-    regardless of ``demand``.
+    Γ is resolved eagerly, by whole-program reachability from F;
+    :meth:`Analysis.query` / :meth:`Analysis.explain` answer single
+    sites demand-driven (:mod:`repro.vfg.demand`).
     """
     if (source is None) == (module is None):
         raise ValueError("pass exactly one of source= or module=")
     opts = options if options is not None else AnalysisOptions()
-    demand = bool(opts.demand)
     resolver = opts.resolver or "callstring"
     context_depth = 1 if opts.context_depth is None else opts.context_depth
     if configs is None and opts.config is not None:
@@ -269,7 +266,6 @@ def analyze(
                 semi_strong=semi_strong,
                 context_depth=context_depth,
                 resolver=resolver,
-                demand=demand,
             )
             with TRACE.span("config", config=config_name):
                 result = run_usher(prepared, config)

@@ -26,8 +26,13 @@ Commands:
   committed baseline, and promote oracle-minimized reproducers into
   the permanent corpus (see :mod:`repro.bench`).
 
-``check`` and ``serve`` turn their ``--demand`` / ``--config`` flags
-into one :class:`repro.options.AnalysisOptions` record.
+``check`` turns its ``--config`` flag into one
+:class:`repro.options.AnalysisOptions` record.
+
+Exit codes (``docs/api.md``): 0 success, 1 findings (``check``
+warnings, ``fuzz`` divergences, ``bench`` errors or regressions), 2
+invalid input, 70 an internal error; ``run`` forwards the program's
+exit value.
 """
 
 from __future__ import annotations
@@ -44,6 +49,10 @@ from repro.opt import OPT_LEVELS, run_pipeline
 from repro.options import options_from_args
 from repro.runtime import DEFAULT_COST_MODEL, RuntimeFault, run_native
 from repro.tinyc import LoweringError, TinyCSyntaxError, compile_source
+
+
+#: Exit code of an internal error (sysexits ``EX_SOFTWARE``).
+EX_SOFTWARE = 70
 
 
 class UsageError(Exception):
@@ -212,20 +221,12 @@ def _explain_warnings(analysis, config: str, warnings) -> None:
 
 
 def _print_query_stats(analysis, config: str) -> None:
-    """Profile of every demand engine this run touched: the Γ
-    resolution's (with --demand) and the --explain queries'."""
-    result = analysis.results.get(config)
-    printed = False
-    if result is not None and result.query_stats is not None:
-        print()
-        print(result.query_stats.format_summary())
-        printed = True
+    """Profile of the demand engine the --explain queries ran on."""
     stats = analysis.query_stats(config if config in analysis.results else None)
     if stats is not None:
         print()
         print(stats.format_summary())
-        printed = True
-    if not printed:
+    else:
         print("\nno demand queries were issued (nothing to profile)")
 
 
@@ -283,8 +284,7 @@ def cmd_vfg(args: argparse.Namespace) -> int:
             prepared.callgraph,
             prepared.modref,
         )
-        engine = DemandEngine(vfg)
-        gamma = engine.gamma()
+        gamma = engine = DemandEngine(vfg)
     else:
         result = run_usher(prepared, UsherConfig.tl_at())
         vfg, gamma, engine = result.vfg, result.gamma, None
@@ -504,9 +504,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     from repro.service.server import serve
 
-    server = serve(
-        host=args.host, port=args.port, options=options_from_args(args)
-    )
+    server = serve(host=args.host, port=args.port)
     host, port = server.server_address[:2]
     print(f"repro serve listening on http://{host}:{port}", flush=True)
     # SIGTERM stops the server like Ctrl-C does: a clean exit 0.
@@ -523,15 +521,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 def _interrupt(signum, frame) -> None:
     raise KeyboardInterrupt
-
-
-def _add_demand_flag(parser) -> None:
-    parser.add_argument(
-        "--demand",
-        action="store_true",
-        help="resolve definedness demand-driven (backward VFG slicing) "
-        "instead of whole-program reachability; identical verdicts",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -559,17 +548,15 @@ def build_parser() -> argparse.ArgumentParser:
                             "warned sites' backward slices are visited)")
     check.add_argument("--query-stats", action="store_true",
                        help="print the demand-query work profile "
-                            "(states/nodes visited, memo hits, latency); "
-                            "requires a demand engine to have run "
-                            "(--demand or --explain), otherwise explains "
-                            "that nothing was profiled")
+                            "(states/nodes visited, memo hits, latency) "
+                            "of the --explain queries; without them, "
+                            "explains that nothing was profiled")
     check.add_argument("--trace", default=None, metavar="PATH",
                        help="capture a span trace of the whole static "
                             "pipeline (parse, constraint gen, per-wave "
-                            "solve, VFG build, Opt I/II, demand queries) "
+                            "solve, VFG build, Opt I/II, Γ resolution) "
                             "and write it as Chrome trace-event JSON "
                             "(load in chrome://tracing or Perfetto)")
-    _add_demand_flag(check)
     check.set_defaults(func=cmd_check)
 
     run = sub.add_parser("run", help="execute natively")
@@ -635,9 +622,8 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--configs", default="tl,tl_at,opt_i,full",
                       metavar="LIST",
                       help="comma list of configurations to diff; base "
-                           "names msan,tl,tl_at,opt_i,full,ext with "
-                           "variant suffixes @summary (resolver) and "
-                           "+demand")
+                           "names msan,tl,tl_at,opt_i,full,ext with the "
+                           "resolver suffix @summary or @callstring")
     fuzz.add_argument("--budget", default=None, metavar="TIME",
                       help="wall-clock budget for the whole campaign, "
                            "e.g. 120s or 5m (default: unbounded)")
@@ -730,7 +716,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument("--port", type=int, default=0, metavar="N",
                          help="TCP port; 0 picks a free port and prints it "
                               "(default 0)")
-    _add_demand_flag(serve_p)
     serve_p.set_defaults(func=cmd_serve)
 
     return parser
@@ -770,6 +755,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     except RuntimeFault as fault:
         print(f"runtime fault: {fault}", file=sys.stderr)
         return 2
+    except Exception as error:
+        # A crash is not "warnings found" (1) or bad input (2).
+        message = " ".join(str(error).split())
+        print(f"internal error: {type(error).__name__}: {message}",
+              file=sys.stderr)
+        return EX_SOFTWARE
 
 
 if __name__ == "__main__":

@@ -28,9 +28,10 @@ from repro.ir.dominance import DominatorTree, loop_blocks
 from repro.ir.module import Module
 from repro.analysis.callgraph import CallGraph
 from repro.vfg.builder import is_concrete_loc
-from repro.vfg.definedness import Definedness, resolve_definedness
+from repro.vfg.definedness import Definedness
 from repro.vfg.graph import BOT, TOP, MemNode, Root, TopNode, VFG
 from repro.vfg.mfc import _BITWISE_OPS, closure_ids
+from repro.vfg.tabulation import resolve_gamma
 
 
 @dataclass
@@ -55,7 +56,6 @@ def redundant_check_elimination(
     context_depth: int = 1,
     resolver: str = "callstring",
     interprocedural: bool = False,
-    demand: bool = False,
 ) -> "tuple[Definedness, Opt2Stats]":
     """Run Algorithm 1; return the refined Γ and statistics.
 
@@ -63,13 +63,7 @@ def redundant_check_elimination(
     spirit of its "new VFG-based optimizations" future work), dominance
     of the check over a consumer in *another* function is established
     when that function is reachable only through call sites dominated by
-    the check (transitively).
-
-    With ``demand=True`` the re-resolution of Γ on the rewired scratch
-    graph is answered by batched demand queries over the check sites
-    (:func:`repro.vfg.demand.resolve_definedness_demand`) instead of
-    whole-program reachability — bit-identical verdicts, but only the
-    check sites' backward slices are visited."""
+    the check (transitively)."""
     scratch = vfg.copy()
     by_uid = module.instr_by_uid()
     dts: Dict[str, DominatorTree] = {
@@ -183,21 +177,7 @@ def redundant_check_elimination(
                     stats.interprocedural_redirects += 1
 
     stats.redirected_nodes = len(redirected)
-    if demand:
-        from repro.vfg.demand import resolve_definedness_demand
-
-        # A fresh engine: the scratch graph's edge set differs from
-        # the original VFG's, so no memo may be shared with it.
-        gamma = resolve_definedness_demand(
-            scratch, context_depth, resolver=resolver
-        )
-    elif resolver == "summary":
-        from repro.vfg.tabulation import resolve_definedness_summary
-
-        gamma = resolve_definedness_summary(scratch)
-    else:
-        gamma = resolve_definedness(scratch, context_depth)
-    return gamma, stats
+    return resolve_gamma(scratch, resolver, context_depth), stats
 
 
 def _load_mems(

@@ -23,7 +23,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.ir.module import Module
 from repro.analysis.andersen import PointerResult, analyze_pointers
-from repro.analysis.solverstats import QueryStats, SolverStats
+from repro.analysis.solverstats import SolverStats
 from repro.analysis.callgraph import CallGraph
 from repro.analysis.modref import ModRefResult
 from repro.core.instrument import GuidedStats, build_guided_plan
@@ -34,23 +34,14 @@ from repro.memssa import build_memory_ssa
 from repro.obs.registry import REGISTRY
 from repro.obs.trace import TRACE
 from repro.vfg.builder import build_vfg
-from repro.vfg.definedness import Definedness, resolve_definedness
-from repro.vfg.demand import LazyDefinedness, resolve_definedness_demand
+from repro.vfg.definedness import Definedness
 from repro.vfg.graph import VFG
-from repro.vfg.tabulation import resolve_definedness_summary
+from repro.vfg.tabulation import resolve_gamma
 
 
 def resolve_for_config(vfg: VFG, config: "UsherConfig") -> Definedness:
     """Run the configuration's definedness resolver."""
-    if config.resolver not in ("callstring", "summary"):
-        raise ValueError(f"unknown resolver {config.resolver!r}")
-    if config.demand:
-        return resolve_definedness_demand(
-            vfg, config.context_depth, resolver=config.resolver
-        )
-    if config.resolver == "summary":
-        return resolve_definedness_summary(vfg)
-    return resolve_definedness(vfg, config.context_depth)
+    return resolve_gamma(vfg, config.resolver, config.context_depth)
 
 
 @dataclass(frozen=True)
@@ -68,11 +59,6 @@ class UsherConfig:
         resolver: ``"callstring"`` (the paper's k-limited matching) or
             ``"summary"`` (fully context-sensitive tabulation,
             :mod:`repro.vfg.tabulation`).
-        demand: Resolve Γ demand-driven (backward VFG slicing per
-            queried node, :mod:`repro.vfg.demand`) instead of by
-            whole-program reachability.  Verdicts are bit-identical;
-            only the evaluation strategy (and its cost profile)
-            changes.
         array_init: Enable the array initialization-loop analysis
             (an extension beyond the paper, from its stated future
             work — see :mod:`repro.vfg.arrayinit`).
@@ -87,7 +73,6 @@ class UsherConfig:
     semi_strong: bool = True
     context_depth: int = 1
     resolver: str = "callstring"
-    demand: bool = False
     array_init: bool = False
     opt2_interproc: bool = False
 
@@ -174,13 +159,8 @@ class PreparedModule:
         return vfg
 
     def gamma(self, config: UsherConfig) -> Definedness:
-        """Γ of ``config``'s VFG, without Opt II.
-
-        The eager resolvers' Γ is computed once per graph, resolver and
-        context depth; a demand-driven Γ carries its own engine and
-        query statistics, so each request resolves afresh."""
-        if config.demand:
-            return resolve_for_config(self.vfg(config), config)
+        """Γ of ``config``'s VFG, without Opt II, computed once per
+        graph, resolver and context depth."""
         key = (_graph_key(config), config.resolver, config.context_depth)
         gamma = self._gammas.get(key)
         if gamma is None:
@@ -214,14 +194,6 @@ class UsherResult:
     @property
     def static_checks(self) -> int:
         return self.plan.count_checks()
-
-    @property
-    def query_stats(self) -> Optional[QueryStats]:
-        """Demand-query profile when Γ was resolved demand-driven
-        (``UsherConfig.demand``); ``None`` for the eager resolvers."""
-        if isinstance(self.gamma, LazyDefinedness):
-            return self.gamma.engine.stats
-        return None
 
 
 def prepare_module(
@@ -275,12 +247,11 @@ def run_usher(prepared: PreparedModule, config: UsherConfig) -> UsherResult:
                 config.context_depth,
                 resolver=config.resolver,
                 interprocedural=config.opt2_interproc,
-                demand=config.demand,
             )
         REGISTRY.record_opt2(opt2_stats, config=config.name)
     else:
         with TRACE.span("gamma.resolve", config=config.name,
-                        resolver=config.resolver, demand=config.demand):
+                        resolver=config.resolver):
             gamma = prepared.gamma(config)
     with TRACE.span("instrument", config=config.name, opt1=config.opt1):
         plan, guided_stats = build_guided_plan(
@@ -291,11 +262,6 @@ def run_usher(prepared: PreparedModule, config: UsherConfig) -> UsherResult:
             opt1=config.opt1,
             name=config.name,
         )
-    query_stats = (
-        gamma.engine.stats if isinstance(gamma, LazyDefinedness) else None
-    )
-    if query_stats is not None:
-        REGISTRY.record_query(query_stats, config=config.name)
     return UsherResult(
         config=config,
         plan=plan,

@@ -1,11 +1,10 @@
 """Unified stats registry and the single JSONL stats writer.
 
-Every ``*Stats`` object in the pipeline — :class:`SolverStats`,
-:class:`QueryStats`, :class:`UpdateStats`, :class:`Opt2Stats`,
-:class:`VFGStats` — lands here as a :class:`StatRecord` under one
-shared schema::
+Every ``*Stats`` object the pipeline records — :class:`SolverStats`,
+:class:`UpdateStats`, :class:`Opt2Stats`, :class:`VFGStats` — lands
+here as a :class:`StatRecord` under one shared schema::
 
-    stat      which family ("solver", "query", "update", "opt2", "vfg")
+    stat      which family ("solver", "update", "opt2", "vfg")
     phase     the pipeline phase the numbers describe
     counters  the stats object's ``as_dict()`` (or field dict) payload
     wall_s    per-phase wall-clock seconds (``{phase: seconds}``)
@@ -111,7 +110,7 @@ class StatsRegistry:
             self._records.append(rec)
         return rec
 
-    # -- adapters for the five legacy stats families -------------------
+    # -- adapters for the four stats families --------------------------
     def record_solver(self, stats, **tags) -> StatRecord:
         """A :class:`repro.analysis.solverstats.SolverStats`."""
         counters = stats.as_dict()
@@ -124,10 +123,6 @@ class StatsRegistry:
             wall_s=wall,
             **tags,
         )
-
-    def record_query(self, stats, **tags) -> StatRecord:
-        """A :class:`repro.analysis.solverstats.QueryStats`."""
-        return self.record("query", "demand", stats.as_dict(), **tags)
 
     def record_update(self, stats, **tags) -> StatRecord:
         """A :class:`repro.service.session.UpdateStats`."""

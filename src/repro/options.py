@@ -3,7 +3,7 @@
 :class:`AnalysisOptions` is accepted everywhere an analysis is
 configured — ``analyze(options=...)``,
 :class:`repro.service.session.AnalysisSession` and ``repro serve``'s
-``/open`` requests — so every entry point reads the same four fields
+``/open`` requests — so every entry point reads the same three fields
 with the same validation.  A field left ``None`` keeps the entry
 point's built-in default.
 """
@@ -26,10 +26,6 @@ class AnalysisOptions:
     was written, not mid-analysis.
 
     Attributes:
-        demand: Resolve Γ demand-driven (backward VFG slicing) instead
-            of whole-program reachability; ``None`` keeps each entry
-            point's default (``False`` for ``analyze()``, ``True`` for
-            sessions).
         resolver: ``"callstring"`` or ``"summary"``.
         config: A configuration name (``usher``, ``usher_tl``, ...) for
             entry points that analyze one configuration — ``repro
@@ -38,14 +34,11 @@ class AnalysisOptions:
         context_depth: Call-string depth for definedness resolution.
     """
 
-    demand: Optional[bool] = None
     resolver: Optional[str] = None
     config: Optional[str] = None
     context_depth: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.demand is not None and not isinstance(self.demand, bool):
-            raise ValueError(f"demand must be a bool or None, got {self.demand!r}")
         if self.resolver is not None and self.resolver not in RESOLVERS:
             known = ", ".join(RESOLVERS)
             raise ValueError(
@@ -90,11 +83,8 @@ class AnalysisOptions:
 
 def options_from_args(args) -> AnalysisOptions:
     """Build an :class:`AnalysisOptions` from parsed CLI args (the
-    ``--demand`` and ``--config`` flags of ``repro check`` / ``serve``)."""
-    return AnalysisOptions(
-        demand=True if getattr(args, "demand", None) else None,
-        config=getattr(args, "config", None),
-    )
+    ``--config`` flag of ``repro check``)."""
+    return AnalysisOptions(config=getattr(args, "config", None))
 
 
 __all__ = [

@@ -72,19 +72,15 @@ class Divergence:
 def build_config(name: str) -> "tuple[str, Optional[UsherConfig]]":
     """Resolve a config spec to ``(display_name, UsherConfig | None)``.
 
-    ``None`` stands for the MSan baseline.  Specs compose variant
-    suffixes onto a base name: ``full@summary`` switches the resolver,
-    ``opt_i+demand`` resolves Γ demand-driven.  Raises
-    :class:`UnknownConfigError` for anything else.
+    ``None`` stands for the MSan baseline.  A resolver suffix may
+    follow the base name: ``full@summary`` switches the resolver.
+    Raises :class:`UnknownConfigError` for anything else.
     """
     spec = name.strip()
     base = spec
     resolver: Optional[str] = None
-    demand = False
     if "@" in base:
         base, resolver = base.split("@", 1)
-    if base.endswith("+demand"):
-        base, demand = base[: -len("+demand")], True
     factory = CONFIG_FACTORIES.get(base)
     if factory is None:
         known = ", ".join(sorted(CONFIG_FACTORIES))
@@ -93,7 +89,7 @@ def build_config(name: str) -> "tuple[str, Optional[UsherConfig]]":
         )
     config = factory()
     if config is None:
-        if resolver or demand:
+        if resolver:
             raise UnknownConfigError(
                 f"config {spec!r}: msan takes no variant suffixes"
             )
@@ -104,8 +100,6 @@ def build_config(name: str) -> "tuple[str, Optional[UsherConfig]]":
                 f"config {spec!r}: unknown resolver {resolver!r}"
             )
         config = replace(config, resolver=resolver)
-    if demand:
-        config = replace(config, demand=True)
     return spec, config
 
 
@@ -122,13 +116,6 @@ def build_config_matrix(
         seen.add(spec)
         matrix.append((spec, config))
     return matrix
-
-
-def _contract_base(spec: str) -> str:
-    base = spec.split("@", 1)[0]
-    if base.endswith("+demand"):
-        base = base[: -len("+demand")]
-    return base
 
 
 def diff_config(
@@ -174,7 +161,7 @@ def diff_config(
         divergences.append(
             Divergence(spec, "spurious", tuple(sorted(warned)), expected)
         )
-    if _contract_base(spec) in EXACT_NAMES:
+    if spec.split("@", 1)[0] in EXACT_NAMES:
         if oracle - warned:
             divergences.append(
                 Divergence(spec, "missed", tuple(sorted(warned)), expected)

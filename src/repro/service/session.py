@@ -52,7 +52,7 @@ from repro.core.usher import (
 from repro.core.plan import InstrumentationPlan
 from repro.options import AnalysisOptions
 from repro.tinyc import compile_source
-from repro.vfg.demand import DemandEngine, LazyDefinedness
+from repro.vfg.demand import DemandEngine
 from repro.vfg.explain import FlowStep, explain_check_site
 from repro.vfg.graph import VFG
 
@@ -223,8 +223,6 @@ class AnalysisSession:
         overrides: Dict = {}
         if usher_config is not None:
             config = usher_config
-            if options.demand is not None:
-                overrides["demand"] = options.demand
         else:
             name = options.config or "usher"
             factory = _BASE_CONFIGS.get(name)
@@ -234,14 +232,6 @@ class AnalysisSession:
                     f"use AnalysisSession.msan_plan())"
                 )
             config = factory()
-            # Sessions default to demand-driven Γ: verdicts are
-            # identical either way, and demand queries answer only the
-            # check sites' slices.  The benchmark's cold ``analyze_s``
-            # runs under ``session.config``, so this default sets that
-            # baseline too.
-            overrides["demand"] = (
-                True if options.demand is None else options.demand
-            )
         if options.resolver is not None:
             overrides["resolver"] = options.resolver
         if options.context_depth is not None:
@@ -371,17 +361,9 @@ class AnalysisSession:
         answered on the rewired scratch graph, like a cold ``analyze``.
         """
         gamma = self.gamma
-        # Demand configurations answer through Γ's own engine; eager
-        # Γ is a finished map — lookups are free.
-        engine = gamma.engine if isinstance(gamma, LazyDefinedness) else None
         wanted = set(uids) if uids is not None else None
-        site_list = (
-            engine.vfg.check_sites
-            if engine is not None
-            else self.vfg.check_sites
-        )
         verdicts: Dict[int, bool] = {}
-        for site in site_list:
+        for site in self.vfg.check_sites:
             if wanted is not None and site.instr_uid not in wanted:
                 continue
             ok = gamma.is_defined(site.node)
@@ -408,7 +390,6 @@ class AnalysisSession:
             "generation": self.generation,
             "config": self._config.name,
             "resolver": self._config.resolver,
-            "demand": self._config.demand,
             "functions": len(self._fn_texts),
             "check_sites": len(self.vfg.check_sites),
             "vfg_nodes": self.vfg.num_nodes,

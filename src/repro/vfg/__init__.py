@@ -2,11 +2,7 @@
 
 from repro.vfg.builder import build_vfg
 from repro.vfg.definedness import Definedness, resolve_definedness, step_context
-from repro.vfg.demand import (
-    DemandEngine,
-    LazyDefinedness,
-    resolve_definedness_demand,
-)
+from repro.vfg.demand import DemandEngine
 from repro.vfg.explain import (
     FlowStep,
     explain_check_site,
@@ -37,8 +33,6 @@ __all__ = [
     "resolve_definedness",
     "step_context",
     "DemandEngine",
-    "LazyDefinedness",
-    "resolve_definedness_demand",
     "FlowStep",
     "explain_check_site",
     "explain_undefined",

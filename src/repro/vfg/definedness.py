@@ -98,7 +98,3 @@ def step_context(
             return ctx[1:]
         return None
     return ctx
-
-
-#: Back-compat alias (pre-demand-engine internal name).
-_step = step_context

@@ -2,9 +2,10 @@
 
 Whole-program resolution (:func:`repro.vfg.definedness.resolve_definedness`)
 walks forward from the F root and labels every node it reaches — the
-right tool when Γ is needed for the entire graph, wasteful when only a
-handful of check sites matter (``repro check --explain``, on-demand DOT
-coloring, Opt II's re-resolution).  This module answers the single-node
+right tool when Γ is needed for the entire graph (guided
+instrumentation asks for it at every check site), wasteful when only a
+handful of sites matter (``repro check --explain``, ``Analysis.query``,
+on-demand DOT coloring).  This module answers the single-node
 question by *backward* slicing from the queried node toward the roots,
 in the style of Sui & Xue's demand-driven value-flow refinement: only
 the queried node's backward slice is ever visited, the search stops the
@@ -46,10 +47,8 @@ Memoization policy (what makes batched queries cheap):
   search immediately.
 
 Engine invalidation is by construction: an engine captures one VFG and
-its memo is valid only for that graph's edge set.  Opt II, which
-rewires edges on a scratch copy, builds a *fresh* engine for the
-scratch graph (see :func:`repro.core.opt2.redundant_check_elimination`)
-rather than mutating a queried one.
+its memo is valid only for that graph's edge set; a graph with other
+edges (a new session generation, say) gets a fresh engine.
 """
 
 from __future__ import annotations
@@ -67,7 +66,6 @@ from typing import (
 
 from repro.analysis.solverstats import QueryStats
 from repro.obs.trace import TRACE
-from repro.vfg.definedness import Definedness, step_context
 from repro.vfg.graph import BOT, CALL, INTRA, RET, CheckSite, Edge, Node, Root, VFG
 
 Context = Tuple[int, ...]
@@ -212,10 +210,6 @@ class DemandEngine:
                 )
             return verdicts
 
-    def gamma(self) -> "LazyDefinedness":
-        """A :class:`Definedness`-compatible lazy view over this engine."""
-        return LazyDefinedness(self)
-
     def find_bottom_chain(
         self, node: Optional[Node]
     ) -> Optional[List[Tuple[Node, Optional[Edge]]]]:
@@ -234,6 +228,14 @@ class DemandEngine:
             raise ValueError("find_bottom_chain requires the callstring resolver")
         if node is None or isinstance(node, Root):
             return None
+        with TRACE.span("demand.query", explain=True) as span:
+            chain = self._bottom_chain(node)
+            span.tag(bottom=chain is not None)
+        return chain
+
+    def _bottom_chain(
+        self, node: Node
+    ) -> Optional[List[Tuple[Node, Optional[Edge]]]]:
         from collections import deque
 
         started = time.perf_counter()
@@ -402,55 +404,3 @@ class DemandEngine:
             memo[state] = False
         return False, expanded, len(touched), False, False
 
-
-class LazyDefinedness(Definedness):
-    """A Γ that resolves nodes on demand through a :class:`DemandEngine`.
-
-    Drop-in for :class:`~repro.vfg.definedness.Definedness` wherever
-    only ``is_defined``/``gamma`` are consumed (guided instrumentation,
-    DOT coloring).  ``bottom_nodes``/``count_bottom`` force the full
-    graph through the engine (memoized, so no worse than one whole
-    resolution) — prefer the eager resolvers when the full ⊥ set is the
-    point.
-    """
-
-    def __init__(self, engine: DemandEngine) -> None:
-        super().__init__(set(), engine.context_depth)
-        self.engine = engine
-        self._forced = False
-
-    def is_defined(self, node: Optional[Node]) -> bool:
-        if self._forced:
-            return super().is_defined(node)
-        return self.engine.is_defined(node)
-
-    @property
-    def bottom_nodes(self) -> Set[Node]:
-        self._force()
-        return set(self._bottom)
-
-    def count_bottom(self) -> int:
-        self._force()
-        return len(self._bottom)
-
-    def _force(self) -> None:
-        if self._forced:
-            return
-        for node in self.engine.vfg.nodes():
-            if self.engine.is_bottom(node):
-                self._bottom.add(node)
-        self._forced = True
-
-
-def resolve_definedness_demand(
-    vfg: VFG,
-    context_depth: int = 1,
-    resolver: str = "callstring",
-    warm_sites: bool = True,
-) -> LazyDefinedness:
-    """A lazy Γ over a fresh engine, optionally pre-answering every
-    check site (the batched mode Opt II and ``run_usher`` use)."""
-    engine = DemandEngine(vfg, context_depth=context_depth, resolver=resolver)
-    if warm_sites:
-        engine.query_sites(vfg.check_sites)
-    return engine.gamma()

@@ -63,7 +63,7 @@ def vfg_to_dot(
     unreadable outputs (raises ValueError when exceeded).
 
     ``gamma`` may be any object with ``is_defined`` — in particular a
-    :class:`~repro.vfg.demand.LazyDefinedness`, in which case only the
+    :class:`~repro.vfg.demand.DemandEngine`, in which case only the
     *rendered* nodes are ever resolved (on-demand coloring: with
     ``only_function`` the rest of the graph is never visited).
     ``highlight`` draws the given nodes (e.g. a demand query's

@@ -33,8 +33,21 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict, List, Set, Tuple
 
-from repro.vfg.definedness import Definedness
+from repro.vfg.definedness import Definedness, resolve_definedness
 from repro.vfg.graph import BOT, CALL, INTRA, RET, Edge, Node, VFG
+
+
+def resolve_gamma(
+    vfg: VFG, resolver: str = "callstring", context_depth: int = 1
+) -> Definedness:
+    """Γ of ``vfg`` under ``resolver``: the one dispatch between the
+    k-limited call-string resolution and the summary-based one
+    (``context_depth`` is ignored by the latter)."""
+    if resolver == "summary":
+        return resolve_definedness_summary(vfg)
+    if resolver == "callstring":
+        return resolve_definedness(vfg, context_depth)
+    raise ValueError(f"unknown resolver {resolver!r}")
 
 
 def resolve_definedness_summary(vfg: VFG) -> Definedness:
@@ -131,7 +144,3 @@ def _two_phase_reachability(
             elif edge.kind == CALL:
                 push(edge.dst, 1)
     return bottom
-
-
-#: Back-compat alias (pre-demand-engine internal name).
-_compute_summaries = compute_summaries

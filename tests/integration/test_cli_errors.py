@@ -3,7 +3,9 @@
 Every malformed input — config specs, seed ranges, budgets, unreadable
 files — must produce exit code 2 and a single-line message on stderr,
 never a traceback.  A flag the CLI does not have (such as the removed
-``--jobs`` and ``--tier``) is an argparse usage error, also exit 2.
+``--jobs``, ``--tier`` and ``--demand``) is an argparse usage error,
+also exit 2.  A crash inside the program is exit 70 with one
+``internal error:`` line.
 """
 
 import pytest
@@ -93,8 +95,12 @@ class TestFuzzArgValidation:
         assert "duplicate" in one_clean_error_line(capsys)
 
     def test_msan_rejects_suffixes(self, capsys):
-        assert main(["fuzz", "--configs", "msan+demand"]) == 2
+        assert main(["fuzz", "--configs", "msan@summary"]) == 2
         assert "msan" in one_clean_error_line(capsys)
+
+    def test_demand_suffix_is_unknown(self, capsys):
+        assert main(["fuzz", "--configs", "full+demand"]) == 2
+        assert "unknown config 'full+demand'" in one_clean_error_line(capsys)
 
     @pytest.mark.parametrize("bad", ["5:x", "x", "9:3", "-4"])
     def test_invalid_seed_spec(self, bad, capsys):
@@ -136,6 +142,33 @@ class TestServeArgValidation:
 
     def test_invalid_tier_flag(self, capsys):
         rejected_flag_line(["serve", "--tier", "warp"], "--tier", capsys)
+
+    def test_demand_flag(self, capsys):
+        rejected_flag_line(["serve", "--demand"], "--demand", capsys)
+
+
+class TestDemandFlagRemoved:
+    """Γ has one resolution path: ``check --demand`` is an unknown
+    flag (``vfg --demand`` still colors through the demand engine)."""
+
+    def test_check(self, clean_file, capsys):
+        rejected_flag_line(["check", clean_file, "--demand"], "--demand", capsys)
+
+
+class TestInternalError:
+    """A crash is exit 70 (``EX_SOFTWARE``) with one stderr line —
+    distinct from ``check``'s 1 (warnings found) and 2 (bad input)."""
+
+    def test_planted_crash_exits_70(self, clean_file, capsys, monkeypatch):
+        from repro import cli
+
+        def crash(source, name="module"):
+            raise RuntimeError("planted\ncrash")
+
+        monkeypatch.setattr(cli, "compile_source", crash)
+        assert main(["run", clean_file]) == 70
+        line = one_clean_error_line(capsys)
+        assert line == "internal error: RuntimeError: planted crash"
 
 
 class TestNonTerminatingProgram:

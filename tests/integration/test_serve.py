@@ -124,7 +124,7 @@ class TestServeParity:
         other = server.open(
             source=SOURCE,
             name="classify",
-            options=AnalysisOptions(demand=False).as_dict(),
+            options=AnalysisOptions(context_depth=1).as_dict(),
         )
         assert other["digest"] != opened["digest"]
         assert server.query_sites(other["digest"]) == server.query_sites(
@@ -191,11 +191,7 @@ def test_sigterm_shuts_down_pool_workers():
     proc, client = start_server()
     workers = set()
     try:
-        opened = client.open(
-            source=SOURCE,
-            name="classify",
-            options=AnalysisOptions(demand=True).as_dict(),
-        )
+        opened = client.open(source=SOURCE, name="classify")
         client.query_sites(opened["digest"])
         workers = child_pids(proc.pid)
         proc.send_signal(signal.SIGTERM)

@@ -138,6 +138,12 @@ class TestKnownDigestBadInputIs400:
         message = _expect(400, server.open, source="def main( {")
         assert "\n" not in message
 
+    def test_demand_option_is_400(self, server):
+        message = _expect(
+            400, server.open, source=SOURCE, options={"demand": True}
+        )
+        assert message == "unknown analysis option(s): demand"
+
 
 class TestUnknownRouteIs404:
     def test_post(self, server):

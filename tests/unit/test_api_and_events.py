@@ -82,23 +82,6 @@ class TestAnalysisAPI:
         with pytest.raises(ValueError):
             analyze(source=SOURCE, module=compile_source(SOURCE))
 
-    def test_demand_mode_produces_identical_plans(self):
-        eager = analyze(source=BUGGY_SOURCE)
-        lazy = analyze(
-            source=BUGGY_SOURCE, options=AnalysisOptions(demand=True)
-        )
-        for config in eager.plans:
-            assert (
-                eager.plans[config].count_propagations()
-                == lazy.plans[config].count_propagations()
-            ), config
-            assert (
-                eager.plans[config].count_checks()
-                == lazy.plans[config].count_checks()
-            ), config
-        assert lazy.results["usher"].query_stats is not None
-        assert eager.results["usher"].query_stats is None
-
 
 class TestDemandQueries:
     def test_query_and_explain_by_uid(self):
@@ -173,8 +156,8 @@ class TestRemovedShims:
             from repro.api import analyze_source  # noqa: F401
 
     def test_options_are_the_only_knob_surface(self):
-        # demand / resolver / context_depth are options fields now, and
-        # the solver knobs are gone altogether.
+        # resolver / context_depth are options fields now, and the
+        # solver knobs and the demand option are gone altogether.
         for keyword in ("demand", "resolver", "context_depth", "jobs", "tier"):
             with pytest.raises(TypeError):
                 analyze(source=SOURCE, **{keyword: None})

@@ -2,36 +2,36 @@
 
 import pytest
 
-from repro.vfg.definedness import Definedness, _step, resolve_definedness
+from repro.vfg.definedness import Definedness, resolve_definedness, step_context
 from repro.vfg.graph import BOT, CALL, INTRA, RET, TOP, TopNode, VFG
 
 
 class TestStepFunction:
     def test_intra_keeps_context(self):
-        assert _step((1, 2), INTRA, None, 2) == (1, 2)
+        assert step_context((1, 2), INTRA, None, 2) == (1, 2)
 
     def test_call_pushes(self):
-        assert _step((), CALL, 7, 1) == (7,)
-        assert _step((3,), CALL, 7, 2) == (7, 3)
+        assert step_context((), CALL, 7, 1) == (7,)
+        assert step_context((3,), CALL, 7, 2) == (7, 3)
 
     def test_call_truncates_at_depth(self):
-        assert _step((3,), CALL, 7, 1) == (7,)
-        assert _step((3, 4), CALL, 7, 2) == (7, 3)
+        assert step_context((3,), CALL, 7, 1) == (7,)
+        assert step_context((3, 4), CALL, 7, 2) == (7, 3)
 
     def test_matching_return_pops(self):
-        assert _step((7,), RET, 7, 1) == ()
-        assert _step((7, 3), RET, 7, 2) == (3,)
+        assert step_context((7,), RET, 7, 1) == ()
+        assert step_context((7, 3), RET, 7, 2) == (3,)
 
     def test_mismatched_return_blocked(self):
-        assert _step((7,), RET, 8, 1) is None
+        assert step_context((7,), RET, 8, 1) is None
 
     def test_empty_context_allows_any_return(self):
         # Sound: a truncated call string may return anywhere.
-        assert _step((), RET, 8, 1) == ()
+        assert step_context((), RET, 8, 1) == ()
 
     def test_depth_zero_is_context_insensitive(self):
-        assert _step((), CALL, 7, 0) == ()
-        assert _step((), RET, 7, 0) == ()
+        assert step_context((), CALL, 7, 0) == ()
+        assert step_context((), RET, 7, 0) == ()
 
     def test_negative_depth_rejected(self):
         with pytest.raises(ValueError):

@@ -7,10 +7,8 @@ from repro.vfg.definedness import resolve_definedness
 from repro.vfg.demand import (
     ANY,
     DemandEngine,
-    LazyDefinedness,
     _call_preimages,
     _ret_preimages,
-    resolve_definedness_demand,
 )
 from repro.vfg.explain import explain_undefined, explain_undefined_demand
 from repro.vfg.graph import BOT, TOP, Root
@@ -160,23 +158,6 @@ class TestDemandEngine:
         assert "⊥" in engine.stats.format_summary() or "queries" in (
             engine.stats.format_summary()
         )
-
-
-class TestLazyDefinedness:
-    def test_lazy_gamma_matches_eager(self, setup):
-        _prepared, result = setup
-        eager = resolve_definedness(result.vfg, 1)
-        lazy = resolve_definedness_demand(result.vfg, 1)
-        assert isinstance(lazy, LazyDefinedness)
-        assert lazy.bottom_nodes == eager.bottom_nodes
-        assert lazy.count_bottom() == eager.count_bottom()
-
-    def test_gamma_strings(self, setup):
-        _prepared, result = setup
-        lazy = DemandEngine(result.vfg).gamma()
-        site = next(s for s in result.vfg.check_sites if s.node is not None)
-        assert lazy.gamma(site.node) in ("⊤", "⊥")
-        assert lazy.gamma(None) == "⊤"
 
 
 class TestDemandExplain:

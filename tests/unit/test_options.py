@@ -33,8 +33,9 @@ class TestValidation:
             AnalysisOptions(schedule="lifo")
 
     def test_bad_demand_and_context_depth(self):
-        with pytest.raises(ValueError):
-            AnalysisOptions(demand="yes")
+        # Γ has one resolution path: ``demand`` is no option any more.
+        with pytest.raises(TypeError, match="demand"):
+            AnalysisOptions(demand=True)
         with pytest.raises(ValueError):
             AnalysisOptions(context_depth=-1)
 
@@ -43,27 +44,25 @@ class TestValidation:
         with pytest.raises(AttributeError):
             options.resolver = "callstring"
 
-    def test_four_fields(self):
+    def test_three_fields(self):
         options = AnalysisOptions(
-            demand=True, resolver="summary", config="usher", context_depth=2
+            resolver="summary", config="usher", context_depth=2
         )
-        assert set(options.as_dict()) == {
-            "demand", "resolver", "config", "context_depth"
-        }
+        assert set(options.as_dict()) == {"resolver", "config", "context_depth"}
 
 
 class TestCombinators:
     def test_merged_applies_only_non_none(self):
         base = AnalysisOptions(resolver="summary", context_depth=2)
-        merged = base.merged(resolver=None, context_depth=3, demand=True)
+        merged = base.merged(resolver=None, context_depth=3, config="usher")
         assert merged == AnalysisOptions(
-            resolver="summary", context_depth=3, demand=True
+            resolver="summary", context_depth=3, config="usher"
         )
         # No overrides → the same (immutable) record comes back.
         assert base.merged() is base
 
     def test_dict_round_trip(self):
-        options = AnalysisOptions(resolver="summary", context_depth=3, demand=True)
+        options = AnalysisOptions(resolver="summary", context_depth=3, config="usher")
         assert AnalysisOptions.from_dict(options.as_dict()) == options
 
     def test_from_dict_rejects_unknown_keys(self):
@@ -75,6 +74,12 @@ class TestCombinators:
             ):
                 AnalysisOptions.from_dict({knob: value})
 
+    def test_from_dict_rejects_demand(self):
+        with pytest.raises(
+            ValueError, match="^unknown analysis option\\(s\\): demand$"
+        ):
+            AnalysisOptions.from_dict({"demand": True})
+
     def test_from_dict_empty(self):
         assert AnalysisOptions.from_dict(None) == AnalysisOptions()
         assert AnalysisOptions.from_dict({}) == AnalysisOptions()
@@ -83,11 +88,10 @@ class TestCombinators:
 class TestCliBoundary:
     def test_options_from_args(self):
         class Args:
-            demand = True
             config = "usher"
 
         options = options_from_args(Args())
-        assert options == AnalysisOptions(demand=True, config="usher")
+        assert options == AnalysisOptions(config="usher")
 
         class Bare:
             pass

@@ -6,6 +6,7 @@ caught as divergences and shrunk to near-minimal reproducers.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -77,10 +78,16 @@ class TestBuildConfig:
             assert (config is None) == (name == "msan")
 
     def test_suffixes_compose(self):
-        spec, config = build_config("full+demand@summary")
-        assert spec == "full+demand@summary"
-        assert config.resolver == "summary"
-        assert config.demand
+        for base in ("tl", "tl_at", "opt_i", "full", "ext"):
+            spec, config = build_config(f"{base}@summary")
+            assert spec == f"{base}@summary"
+            assert config == replace(CONFIG_FACTORIES[base](), resolver="summary")
+
+    def test_demand_suffix_is_unknown(self):
+        # Γ has one resolution path: ``+demand`` names no variant.
+        for spec in ("full+demand", "full+demand@summary"):
+            with pytest.raises(UnknownConfigError, match="unknown config"):
+                build_config(spec)
 
     def test_unknown_base_raises(self):
         with pytest.raises(UnknownConfigError, match="unknown config"):
@@ -99,7 +106,7 @@ class TestBuildConfig:
 
     def test_msan_takes_no_suffixes(self):
         with pytest.raises(UnknownConfigError, match="msan"):
-            build_config("msan+demand")
+            build_config("msan@summary")
 
     def test_matrix_rejects_duplicates(self):
         with pytest.raises(UnknownConfigError, match="duplicate"):
