@@ -16,25 +16,15 @@ Two gates keep the observability layer honest:
   analysis must emit schema-valid Chrome trace-event JSON whose spans
   include parsing, constraint generation, solving (with per-wave
   spans), VFG construction, Opt I, Opt II and demand queries.
-
-Each run appends a ``trace_overhead`` row to
-``benchmarks/results/observability_stats.jsonl`` through the unified
-stats writer so the span count and per-call cost are tracked across
-commits like every other stats family.
 """
 
 import json
 import time
 import timeit
-from pathlib import Path
 
 from repro.api import analyze
-from repro.obs.registry import write_stats_row
 from repro.obs.trace import TRACE, validate_chrome_trace
 from repro.workloads import GeneratorParams, generate_program
-
-RESULTS_DIR = Path(__file__).parent / "results"
-OBSERVABILITY_LOG = RESULTS_DIR / "observability_stats.jsonl"
 
 SEED = 11
 FACTOR = 16
@@ -99,17 +89,6 @@ class TestDisabledOverhead:
 
         overhead = n_spans * per_call
         budget = 0.02 * disabled_wall
-        write_stats_row(
-            OBSERVABILITY_LOG,
-            "trace_overhead",
-            SEED,
-            FACTOR,
-            elapsed=disabled_wall,
-            spans=n_spans,
-            noop_span_ns=round(per_call * 1e9, 3),
-            overhead_seconds=round(overhead, 6),
-            budget_seconds=round(budget, 6),
-        )
         assert overhead < budget, (
             f"{n_spans} spans x {per_call * 1e9:.0f}ns/disabled-span = "
             f"{overhead:.4f}s would exceed 2% of the untraced "

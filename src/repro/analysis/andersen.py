@@ -65,7 +65,6 @@ from repro.analysis.memobjects import (
     global_object,
 )
 from repro.analysis.solverstats import SolverStats
-from repro.obs.registry import REGISTRY
 from repro.obs.trace import TRACE
 
 Node = Union[PVar, MemLoc]
@@ -152,25 +151,20 @@ def analyze_pointers(
     solver_class = ReferenceSolver if use_reference else DeltaSolver
     stats = SolverStats(solver=solver_class.kind)
 
-    def finish(solver: "_SolverBase") -> PointerResult:
-        result = solver.result()
-        REGISTRY.record_solver(stats)
-        return result
-
     with TRACE.span("pointer_analysis", solver=stats.solver):
         base = solver_class(module, wrappers=frozenset(), stats=stats)
         base.solve()
         if not heap_cloning:
-            return finish(base)
+            return base.result()
         with stats.phase("wrappers"):
             wrappers = base.detect_wrappers()
         if not wrappers:
-            return finish(base)
+            return base.result()
         refined = solver_class(
             module, wrappers=frozenset(wrappers), stats=stats
         )
         refined.solve()
-        result = finish(refined)
+        result = refined.result()
         result.wrappers = set(wrappers)
         return result
 

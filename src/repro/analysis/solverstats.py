@@ -67,8 +67,8 @@ class SolverStats:
         peak_worklist: High-water mark of the worklist.
         bytes_pts: Bytes of the points-to bitsets at finalize (dense
             limb bytes summed over live union-find representatives; max
-            across solve passes).  The memory figure the
-            ``tools/diff_solver_stats.py`` gate regresses on.
+            across solve passes).  ``tests/data/opt2_pins.json`` pins
+            it exactly per module.
         peak_rss: Process peak resident set size in bytes
             (``ru_maxrss``) observed at finalize.
         phase_seconds: Wall time per phase (``constraints``, ``solve``,

@@ -20,19 +20,17 @@ Commands:
 - ``serve``        — resident analysis service: a localhost HTTP/JSON
   endpoint over long-lived :class:`repro.service.AnalysisSession`
   objects, re-analyzed after each edit (see :mod:`repro.service`).
-- ``bench``        — the scenario-factory matrix orchestrator: run a
-  declarative workload × config matrix across a crash-isolated process
-  pool, write schema-stamped rows to a JSONL log, diff against a
-  committed baseline, and promote oracle-minimized reproducers into
-  the permanent corpus (see :mod:`repro.bench`).
+- ``promote``      — validate oracle-minimized ``.ir`` reproducers and
+  add them to the permanent corpus with their pinned warning sets
+  (see :mod:`repro.workloads.corpus`).
 
 ``check`` turns its ``--config`` flag into one
 :class:`repro.options.AnalysisOptions` record.
 
 Exit codes (``docs/api.md``): 0 success, 1 findings (``check``
-warnings, ``fuzz`` divergences, ``bench`` errors or regressions), 2
-invalid input, 70 an internal error; ``run`` forwards the program's
-exit value.
+warnings, ``fuzz`` divergences), 2 invalid input (including a
+reproducer ``promote`` refuses), 70 an internal error; ``run``
+forwards the program's exit value.
 """
 
 from __future__ import annotations
@@ -407,98 +405,11 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     return 1
 
 
-def _bench_workload_names(spec: str, corpus_dir) -> List[str]:
-    """Resolve the ``--workloads`` argument: ``all`` (registry +
-    corpus), ``spec`` (the 19 generated programs), ``corpus`` (bred
-    seeds only), or an explicit comma list of names."""
-    from repro.workloads import ALL_WORKLOADS
-    from repro.workloads.corpus import corpus_names
+def cmd_promote(args: argparse.Namespace) -> int:
+    from repro.workloads.corpus import promote
 
-    named = {
-        "all": [w.name for w in ALL_WORKLOADS] + corpus_names(corpus_dir),
-        "spec": [w.name for w in ALL_WORKLOADS],
-        "corpus": corpus_names(corpus_dir),
-    }
-    if spec in named:
-        return named[spec]
-    return [part.strip() for part in spec.split(",") if part.strip()]
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench import (
-        MatrixSpec,
-        diff_rows,
-        format_bench_report,
-        load_rows,
-        promote,
-        run_matrix,
-        write_rows,
-    )
-
-    say = (lambda message: None) if args.quiet else print
-    if args.promote:
-        promoted = promote(
-            args.promote,
-            corpus_dir=args.corpus_dir,
-            dry_run=args.dry_run,
-            log=say,
-        )
-        verb = "validated" if args.dry_run else "promoted"
-        print(f"bench: {verb} {len(promoted)} reproducer(s)")
-        return 0
-    workloads = _bench_workload_names(args.workloads, args.corpus_dir)
-    spec = MatrixSpec.from_args(
-        workloads=workloads, configs=args.configs, scale=args.scale
-    )
-    cells = spec.expand()
-    pool = args.pool
-    if pool == 0:
-        import os as _os
-
-        pool = max(1, min(4, (_os.cpu_count() or 2) - 1))
-    say(
-        f"bench: {len(cells)} cell(s) "
-        f"({len(spec.workloads)} workloads x {len(spec.configs)} "
-        f"configs), pool={pool}, scale={spec.scale:g}"
-    )
-    if args.dry_run:
-        for cell in cells:
-            print(f"  {cell.name}")
-        return 0
-    rows = run_matrix(
-        cells,
-        pool=pool,
-        timeout=args.timeout,
-        corpus_dir=args.corpus_dir,
-        log=say,
-    )
-    written = write_rows(args.out, rows)
-    errors = [row for row in written if row.get("status") != "ok"]
-    print(
-        f"bench: {len(written)} row(s) -> {args.out} "
-        f"({len(written) - len(errors)} ok, {len(errors)} error)"
-    )
-    if args.report:
-        text = format_bench_report(written)
-        with open(args.report, "w") as handle:
-            handle.write(text)
-        print(f"report: wrote {args.report}")
-    status = 1 if errors else 0
-    if args.baseline:
-        problems, compared = diff_rows(written, load_rows(args.baseline))
-        if problems:
-            print(
-                f"baseline: {len(problems)} regression(s) against "
-                f"{args.baseline}:"
-            )
-            for problem in problems:
-                print(f"  {problem}")
-            status = 1
-        else:
-            print(
-                f"baseline: {compared} cell(s) match {args.baseline}"
-            )
-    return status
+    promote(args.files, corpus_dir=args.corpus_dir, dry_run=args.dry_run)
+    return 0
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -655,58 +566,19 @@ def build_parser() -> argparse.ArgumentParser:
                       help="suppress per-case progress lines")
     fuzz.set_defaults(func=cmd_fuzz)
 
-    bench = sub.add_parser(
-        "bench",
-        help="matrix benchmark orchestrator with baselines and corpus "
-             "promotion",
+    promote = sub.add_parser(
+        "promote",
+        help="add oracle-minimized .ir reproducers to the permanent corpus",
     )
-    bench.add_argument("--workloads", default="all", metavar="LIST",
-                       help="comma list of workload / corpus-seed names, "
-                            "or: all (registry + corpus, the default), "
-                            "spec (the 19 generated programs), corpus "
-                            "(bred seeds only)")
-    bench.add_argument("--configs", default="tl,tl_at,opt_i,full",
-                       metavar="LIST",
-                       help="comma list of configurations "
-                            "(msan,tl,tl_at,opt_i,full,ext); default "
-                            "tl,tl_at,opt_i,full")
-    bench.add_argument("--scale", type=float, default=0.1,
-                       help="workload scale factor (default 0.1; corpus "
-                            "seeds are fixed-size and ignore it)")
-    bench.add_argument("--pool", type=int, default=0, metavar="N",
-                       help="concurrent cell worker processes; 0 = auto "
-                            "(default), 1 = in-process serial")
-    bench.add_argument("--timeout", type=float, default=300.0,
-                       metavar="SECONDS",
-                       help="per-cell wall-clock budget in process mode "
-                            "(default 300); an overrunning cell becomes "
-                            "an error row and the run continues")
-    bench.add_argument("--out", default="benchmarks/results/bench_stats.jsonl",
-                       metavar="PATH",
-                       help="JSONL row log (appended; default "
-                            "benchmarks/results/bench_stats.jsonl)")
-    bench.add_argument("--baseline", default=None, metavar="PATH",
-                       help="diff this run against a committed baseline "
-                            "JSONL; exact gates on status/warned_uids/"
-                            "checks/propagations, 2x ratio gates on "
-                            "solver work; any regression exits 1")
-    bench.add_argument("--report", default=None, metavar="PATH",
-                       help="also write the markdown report "
-                            "(Table-1/Figure-10-style aggregation)")
-    bench.add_argument("--promote", action="append", metavar="FILE",
-                       help="promote an oracle-minimized .ir reproducer "
-                            "into the permanent corpus (repeatable; "
-                            "validates, pins its warned sets, updates "
-                            "the manifest; no matrix runs)")
-    bench.add_argument("--corpus-dir", default=None, metavar="DIR",
-                       help="corpus directory override (default: "
-                            "tests/data/corpus of the checkout)")
-    bench.add_argument("--dry-run", action="store_true",
-                       help="with --promote: validate only; otherwise: "
-                            "list the expanded cells without running")
-    bench.add_argument("--quiet", action="store_true",
-                       help="suppress per-cell progress lines")
-    bench.set_defaults(func=cmd_bench)
+    promote.add_argument("files", nargs="+", metavar="FILE.ir",
+                         help="reproducers to validate and pin (each is "
+                              "named by its file stem)")
+    promote.add_argument("--dry-run", action="store_true",
+                         help="validate only; leave the corpus unchanged")
+    promote.add_argument("--corpus-dir", default=None, metavar="DIR",
+                         help="corpus directory (default: tests/data/corpus "
+                              "of the checkout)")
+    promote.set_defaults(func=cmd_promote)
 
     serve_p = sub.add_parser(
         "serve", help="resident analysis service (localhost HTTP/JSON)"
@@ -722,7 +594,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    from repro.bench.matrix import BenchSpecError
     from repro.ir.parser import IRParseError
     from repro.ir.verifier import VerificationError
     from repro.oracle.differ import UnknownConfigError
@@ -739,8 +610,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (TinyCSyntaxError, LoweringError) as error:
         print(f"compile error: {error}", file=sys.stderr)
         return 2
-    except (UsageError, UnknownConfigError, BenchSpecError,
-            CorpusError) as error:
+    except (UsageError, UnknownConfigError, CorpusError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     except (IRParseError, VerificationError) as error:

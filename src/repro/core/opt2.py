@@ -41,7 +41,7 @@ class Opt2Stats:
     interprocedural_redirects: int = 0
 
     def as_dict(self) -> dict:
-        """JSON-ready snapshot (the unified stats-registry schema)."""
+        """JSON-ready snapshot of the counters."""
         return {
             "redirected_nodes": self.redirected_nodes,
             "sites_processed": self.sites_processed,

@@ -31,7 +31,6 @@ from repro.core.msan import build_msan_plan
 from repro.core.opt2 import Opt2Stats, redundant_check_elimination
 from repro.core.plan import InstrumentationPlan
 from repro.memssa import build_memory_ssa
-from repro.obs.registry import REGISTRY
 from repro.obs.trace import TRACE
 from repro.vfg.builder import build_vfg
 from repro.vfg.definedness import Definedness
@@ -153,8 +152,6 @@ class PreparedModule:
                     semi_strong=config.semi_strong,
                     array_init=config.array_init,
                 )
-            if vfg.stats is not None:
-                REGISTRY.record_vfg(vfg.stats, config=config.name)
             self._vfgs[key] = vfg
         return vfg
 
@@ -248,7 +245,6 @@ def run_usher(prepared: PreparedModule, config: UsherConfig) -> UsherResult:
                 resolver=config.resolver,
                 interprocedural=config.opt2_interproc,
             )
-        REGISTRY.record_opt2(opt2_stats, config=config.name)
     else:
         with TRACE.span("gamma.resolve", config=config.name,
                         resolver=config.resolver):

@@ -112,7 +112,8 @@ NOOP_SPAN = _NoopSpan()
 
 
 class _LiveSpan:
-    """An enabled-mode span handle (one per ``with`` block)."""
+    """An enabled-mode span handle (one per ``with`` block).  A span an
+    exception passes through is tagged ``error=<ExceptionType>``."""
 
     __slots__ = ("_tracer", "_name", "_tags", "_index")
 
@@ -126,7 +127,9 @@ class _LiveSpan:
         self._index = self._tracer._open(self._name, self._tags)
         return self
 
-    def __exit__(self, *exc) -> bool:
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        if exc_type is not None:
+            self._tags["error"] = exc_type.__name__
         self._tracer._close(self._index)
         return False
 

@@ -12,6 +12,7 @@ exact bucket still diverges" and written out as a self-contained
 
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -362,13 +363,12 @@ def run_campaign(
         }
     )
     if out_path is not None:
-        from repro.obs.registry import append_jsonl
-
+        # Each campaign replaces the file wholesale.
         path = Path(out_path)
-        if path.exists():
-            path.unlink()  # each campaign replaces the file wholesale
-        for record in records:
-            append_jsonl(path, record)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(
+            "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
+        )
         result.out_path = str(path)
     return result
 

@@ -15,9 +15,9 @@ Routes (all POST bodies and responses are JSON):
 * ``POST /query_sites`` — ``{"digest", "uids"?}`` → verdicts.
 * ``POST /explain`` — ``{"digest", "uid"}`` → rendered flow steps.
 * ``POST /stats`` / ``GET /ping`` — introspection.
-* ``GET /metrics`` — Prometheus text exposition (request counts and
-  latency histograms per route, session count, and the last update's
-  duration per session).
+
+Each routed POST runs inside a ``serve.request`` span; a request that
+fails leaves that span tagged ``error`` in the trace.
 
 Client errors answer ``400`` (malformed input) or ``404`` (unknown
 digest — :class:`UnknownDigestError` — or unknown route) with
@@ -32,13 +32,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from typing import Dict, Optional
 from urllib.error import HTTPError
 from urllib.request import Request, urlopen
 
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TRACE
 from repro.options import AnalysisOptions
 from repro.service.session import AnalysisSession
@@ -81,42 +79,6 @@ class ReproServer(HTTPServer):
         self.default_options = (
             options if options is not None else AnalysisOptions()
         )
-        self.metrics = MetricsRegistry()
-        self.requests_total = self.metrics.counter(
-            "repro_requests_total",
-            "Requests served, by route and HTTP status.",
-            labels=("route", "status"),
-        )
-        self.request_seconds = self.metrics.histogram(
-            "repro_request_seconds",
-            "Request handling latency in seconds, by route.",
-            labels=("route",),
-        )
-        self.metrics.gauge(
-            "repro_sessions", "Resident analysis sessions."
-        ).set_function(lambda: len(self.sessions))
-        self._update_seconds = self.metrics.gauge(
-            "repro_session_update_seconds",
-            "Seconds the last update (or the open) of each session took.",
-            labels=("digest",),
-        )
-
-    def observe_request(
-        self, route: str, status: int, started: float
-    ) -> None:
-        self.requests_total.inc(route=route, status=str(status))
-        self.request_seconds.observe(
-            time.perf_counter() - started, route=route
-        )
-
-    def render_metrics(self) -> str:
-        """The ``/metrics`` payload: refresh the per-session gauge from
-        the live sessions, then render the exposition text."""
-        for digest, session in self.sessions.items():
-            self._update_seconds.set(
-                session.last_update.update_seconds, digest=digest
-            )
-        return self.metrics.render()
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -135,14 +97,6 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
-    def _reply_text(self, status: int, text: str) -> None:
-        body = text.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "text/plain; version=0.0.4")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
     def _session(self, data: Dict) -> AnalysisSession:
         digest = data.get("digest")
         session = self.server.sessions.get(digest)
@@ -152,23 +106,14 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- routes ----------------------------------------------------------
     def do_GET(self) -> None:
-        started = time.perf_counter()
         if self.path == "/ping":
             self._reply(
                 200, {"ok": True, "sessions": sorted(self.server.sessions)}
             )
-            status = 200
-        elif self.path == "/metrics":
-            self._reply_text(200, self.server.render_metrics())
-            status = 200
         else:
             self._reply(404, {"error": f"unknown route {self.path}"})
-            status = 404
-        self.server.observe_request(self.path, status, started)
 
     def do_POST(self) -> None:
-        started = time.perf_counter()
-        status = 200
         try:
             length = int(self.headers.get("Content-Length") or 0)
             raw = self.rfile.read(length) if length else b"{}"
@@ -177,20 +122,15 @@ class _Handler(BaseHTTPRequestHandler):
                 raise ValueError("request body must be a JSON object")
             route = getattr(self, "_route" + self.path.replace("/", "_"), None)
             if route is None:
-                status = 404
                 self._reply(404, {"error": f"unknown route {self.path}"})
                 return
             with TRACE.span("serve.request", route=self.path):
                 payload = route(data)
             self._reply(200, payload)
         except UnknownDigestError as exc:
-            status = 404
             self._reply(404, {"error": _one_line(exc)})
         except Exception as exc:
-            status = 400
             self._reply(400, {"error": _one_line(exc)})
-        finally:
-            self.server.observe_request(self.path, status, started)
 
     def _route_open(self, data: Dict) -> Dict:
         source = data.get("source")
@@ -305,16 +245,6 @@ class ServiceClient:
 
     def ping(self) -> Dict:
         return self._call("/ping")
-
-    def metrics(self) -> str:
-        """The raw Prometheus text from ``GET /metrics`` (parse with
-        :func:`repro.obs.metrics.parse_prometheus_text`)."""
-        request = Request(self.base_url + "/metrics")
-        try:
-            with urlopen(request, timeout=self.timeout) as response:
-                return response.read().decode("utf-8")
-        except HTTPError as exc:
-            raise ServiceError(exc.code, exc.reason) from None
 
     def open(
         self,

@@ -39,7 +39,6 @@ from repro.ir.printer import function_to_str, module_to_str
 from repro.ir.verifier import verify_module
 from repro.opt import run_pipeline
 from repro.analysis.andersen import PointerResult
-from repro.obs.registry import REGISTRY
 from repro.obs.trace import TRACE
 from repro.core.usher import (
     PreparedModule,
@@ -332,7 +331,8 @@ class AnalysisSession:
             raise KeyError(f"unknown function {function_name!r}")
         candidate = dict(self._fn_texts)
         candidate[function_name] = new_body.strip("\n")
-        module = parse_ir(self._module_text(candidate))
+        with TRACE.span("ir.parse"):
+            module = parse_ir(self._module_text(candidate))
         if set(module.functions) != set(self._fn_texts):
             raise ValueError(
                 "update() must keep the module's function set: "
@@ -363,11 +363,12 @@ class AnalysisSession:
         gamma = self.gamma
         wanted = set(uids) if uids is not None else None
         verdicts: Dict[int, bool] = {}
-        for site in self.vfg.check_sites:
-            if wanted is not None and site.instr_uid not in wanted:
-                continue
-            ok = gamma.is_defined(site.node)
-            verdicts[site.instr_uid] = verdicts.get(site.instr_uid, True) and ok
+        with TRACE.span("service.query", session=self.name):
+            for site in self.vfg.check_sites:
+                if wanted is not None and site.instr_uid not in wanted:
+                    continue
+                ok = gamma.is_defined(site.node)
+                verdicts[site.instr_uid] = verdicts.get(site.instr_uid, True) and ok
         return verdicts
 
     def explain(
@@ -421,8 +422,10 @@ class AnalysisSession:
         self, module: Module, edited: Optional[str]
     ) -> UpdateStats:
         started = time.perf_counter()
-        run_pipeline(module, self._level)
-        verify_module(module)
+        with TRACE.span("opt_pipeline", level=self._level):
+            run_pipeline(module, self._level)
+        with TRACE.span("verify"):
+            verify_module(module)
         snapshot = _transplant_uids(module, self._snapshot)
         prepared = prepare_module(module)
         result = run_usher(prepared, self._config)
@@ -442,7 +445,6 @@ class AnalysisSession:
             update_seconds=time.perf_counter() - started,
         )
         self.last_update = stats
-        REGISTRY.record_update(stats, session=self.name)
         return stats
 
     # -- query-side engines ----------------------------------------------

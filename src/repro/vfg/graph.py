@@ -146,9 +146,6 @@ class VFGStats:
     heap_alloc_sites: int = 0
     array_init_cuts: int = 0
 
-    def as_dict(self) -> Dict[str, int]:
-        return dict(self.__dict__)
-
 
 #: Edge-kind codes in the flat edge columns.
 _KIND_CODES = {INTRA: 0, CALL: 1, RET: 2}

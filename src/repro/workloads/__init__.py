@@ -3,8 +3,8 @@
 ``WORKLOADS`` is the paper's 15-program SPEC CPU2000 set (Table 1 /
 Figures 10-11 iterate exactly these); ``CPU2006_WORKLOADS`` adds the
 four CPU2006-style shape extensions (icall-heavy, recursion-heavy,
-deep-copy-chain) and ``ALL_WORKLOADS`` is the 19-program bench-matrix
-set.  Oracle-bred ``.ir`` corpus seeds load separately through
+deep-copy-chain) and ``ALL_WORKLOADS`` is the 19-program set the pins
+cover.  Oracle-bred ``.ir`` corpus seeds load separately through
 :mod:`repro.workloads.corpus`.
 """
 
@@ -12,7 +12,7 @@ from repro.workloads.generator import GeneratorParams, generate_program
 from repro.workloads.spec import WORKLOADS, Workload
 from repro.workloads.spec2006 import CPU2006_WORKLOADS
 
-#: The full 19-program bench-matrix set: the paper's 15 plus the
+#: The full 19-program set: the paper's 15 plus the
 #: CPU2006-style shape extensions.
 ALL_WORKLOADS = WORKLOADS + CPU2006_WORKLOADS
 

@@ -5,9 +5,8 @@ The random generator draws program shapes from one distribution — and
 the soundness bugs that actually shipped (seed 185) hid in shapes it
 underweights.  Whenever a fuzz campaign minimizes a divergence, the
 resulting ``.ir`` reproducer is the *distilled* shape that mattered;
-``repro bench --promote`` lifts such reproducers into
-``tests/data/corpus/`` where they load as permanent workloads for the
-bench matrix and regression suites.
+``repro promote`` (:func:`promote`) lifts such reproducers into
+``tests/data/corpus/`` where they load as permanent regression seeds.
 
 Each seed is pinned: ``manifest.json`` records, per base configuration,
 the exact warned-uid set the committed pipeline produces, plus the
@@ -27,6 +26,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -145,10 +145,6 @@ def load_corpus(directory: "Optional[os.PathLike]" = None) -> List[CorpusSeed]:
     return seeds
 
 
-def corpus_names(directory: "Optional[os.PathLike]" = None) -> List[str]:
-    return [seed.name for seed in load_corpus(directory)]
-
-
 def pin_text(text: str, name: str) -> Dict[str, object]:
     """Derive a seed's manifest payload from its IR text.
 
@@ -213,6 +209,78 @@ def write_manifest(
     return path
 
 
+def promote(
+    paths: List[str],
+    corpus_dir: "Optional[os.PathLike]" = None,
+    dry_run: bool = False,
+) -> List[str]:
+    """Validate reproducers and add them to the corpus (``repro promote``).
+
+    A minimized reproducer is worth keeping once the divergence it
+    reproduced is fixed: each file is re-derived from scratch through
+    :func:`pin_text`, named by its file stem, copied into the corpus
+    directory and added to the manifest with its freshly pinned sets.
+    ``dry_run=True`` validates without touching the corpus.  Progress
+    goes to stdout.
+
+    Returns the promoted seed names.  Raises :class:`CorpusError` on a
+    reproducer that fails validation (still divergent, unparsable,
+    natively faulting) or whose name a committed seed already has.
+    Promotion is all-or-nothing: a batch with one bad file changes
+    nothing.
+    """
+    base = Path(corpus_dir) if corpus_dir is not None else default_corpus_dir()
+    if base is None:
+        raise CorpusError(
+            "no corpus directory (pass --corpus-dir or run from a checkout)"
+        )
+    entries = [
+        {
+            "name": seed.name,
+            "file": Path(seed.path).name,
+            "origin": seed.origin,
+            "true_bugs": list(seed.true_bugs),
+            "pinned": {spec: list(uids) for spec, uids in seed.pinned},
+        }
+        for seed in load_corpus(base)
+    ]
+    taken = {entry["name"] for entry in entries}
+    staged: List[Dict[str, object]] = []
+    promoted: List[str] = []
+    for path in paths:
+        source = Path(path)
+        name = source.stem
+        if name in taken:
+            raise CorpusError(
+                f"{name}: a corpus seed of that name already exists "
+                f"(rename the reproducer to promote it)"
+            )
+        print(f"validating {name} ({source})...")
+        payload = pin_text(source.read_text(), name)
+        print(
+            f"  ok: true bugs {payload['true_bugs']}, pinned "
+            + ", ".join(
+                f"{spec}={uids}" for spec, uids in payload["pinned"].items()
+            )
+        )
+        staged.append({
+            "name": name,
+            "file": source.name,
+            "origin": f"promoted by `repro promote` from {source}",
+            **payload,
+        })
+        taken.add(name)
+        promoted.append(name)
+    if dry_run:
+        print(f"validated {len(promoted)} reproducer(s); {base} unchanged (dry run)")
+        return promoted
+    for path in paths:
+        shutil.copyfile(path, base / Path(path).name)
+    write_manifest(base, entries + staged)
+    print(f"promoted {len(promoted)} reproducer(s) into {base}")
+    return promoted
+
+
 __all__ = [
     "BASE_CONFIG_SPECS",
     "CORPUS_ENV",
@@ -220,9 +288,9 @@ __all__ = [
     "MANIFEST",
     "CorpusError",
     "CorpusSeed",
-    "corpus_names",
     "default_corpus_dir",
     "load_corpus",
     "pin_text",
+    "promote",
     "write_manifest",
 ]

@@ -3,7 +3,7 @@ generator (and the SPEC2000 set) underweight.
 
 The soundness oracle's history shows that Opt-level bugs hide in
 specific *shapes* — seed 185 was a mask-preserving copy chain feeding a
-bitwise op — so the bench matrix needs workloads that lean hard into
+bitwise op — so the pins need workloads that lean hard into
 the under-represented ones.  Each program here is named after the
 CPU2006 benchmark whose profile it mimics and stresses exactly one
 shape:

@@ -147,6 +147,19 @@ class TestServeArgValidation:
         rejected_flag_line(["serve", "--demand"], "--demand", capsys)
 
 
+class TestBenchCommandRemoved:
+    """``repro bench`` is gone (the exact pins keep its assertions):
+    an unknown subcommand is an argparse usage error."""
+
+    def test_bench(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench", "--workloads", "all"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "invalid choice: 'bench'" in err
+
+
 class TestDemandFlagRemoved:
     """Γ has one resolution path: ``check --demand`` is an unknown
     flag (``vfg --demand`` still colors through the demand engine)."""

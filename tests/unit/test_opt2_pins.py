@@ -3,7 +3,8 @@
 Every row of ``tests/data/opt2_pins.json`` records, for one module and
 one setting of ``opt2_interproc``, the :class:`Opt2Stats` counters, the
 number of ⊥ nodes in the re-resolved Γ and the ``usher`` plan's check
-and propagation counts.  The modules are the 19 SPEC-shaped programs
+and propagation counts.  Each module also pins its pointer solver's
+work (``pops``, ``facts_propagated``, ``bytes_pts``).  The modules are the 19 SPEC-shaped programs
 at scale 0.25 plus two generated modules (seed 11: pointer-heavy
 factor 8 and plain factor 16).  Any change to Opt II's traversal must
 reproduce every row exactly.
@@ -43,8 +44,10 @@ def module_sources():
 
 
 def opt2_rows(name: str, source: str) -> dict:
-    """Opt II's observable result on one module, interprocedural off/on."""
+    """Opt II's observable result on one module, interprocedural off/on,
+    and the pointer solver's work on it."""
     analysis = analyze(source=source, name=name, configs=["usher"])
+    solver = analysis.prepared.solver_stats
     interproc = run_usher(
         analysis.prepared,
         replace(UsherConfig.full(), name="usher_interproc", opt2_interproc=True),
@@ -60,6 +63,11 @@ def opt2_rows(name: str, source: str) -> dict:
             "checks": result.static_checks,
             "propagations": result.static_propagations,
         }
+    rows["solver"] = {
+        "bytes_pts": solver.bytes_pts,
+        "facts_propagated": solver.facts_propagated,
+        "pops": solver.pops,
+    }
     return rows
 
 

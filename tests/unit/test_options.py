@@ -105,10 +105,6 @@ class TestCliBoundary:
             ["check", "prog.tc", "--storage", "int"],
             ["report", "--storage", "int"],
             ["serve", "--storage", "int"],
-            ["bench", "--tiers", "full"],
-            ["bench", "--storages", "int"],
-            ["bench", "--schedules", "wave"],
-            ["bench", "--jobs-axis", "1"],
         ],
     )
     def test_removed_flags_exit_2(self, argv, capsys):

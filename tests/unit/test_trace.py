@@ -70,6 +70,7 @@ class TestSpanBasics:
             with tracer.span("doomed"):
                 raise RuntimeError("boom")
         assert tracer.events[0].end is not None
+        assert tracer.events[0].tags == {"error": "RuntimeError"}
 
     def test_capture_clears_enables_and_disables(self):
         with TRACE.capture():
@@ -103,6 +104,22 @@ class TestSpanBasics:
         lines = tree.splitlines()
         assert lines[0].startswith("root")
         assert lines[1].startswith("  child")
+
+
+class TestSessionSpans:
+    def test_update_and_query_cover_every_layer(self):
+        from repro.service import AnalysisSession
+
+        session = AnalysisSession.from_source(
+            "def main() {\n  var x;\n  output(x);\n  return 0;\n}\n"
+        )
+        with TRACE.capture():
+            session.update("main", session.function_text("main"))
+            session.query_sites()
+            names = [event.name for event in TRACE.events]
+        TRACE.clear()
+        for name in ("ir.parse", "opt_pipeline", "verify", "service.query"):
+            assert name in names, name
 
 
 class TestDisabledMode:
