@@ -31,14 +31,14 @@ FACTOR = 16
 
 #: Phases the factor-16 trace must cover (ISSUE acceptance list).
 REQUIRED_SPANS = (
-    "parse",
+    "tinyc.compile",
     "constraints",
     "solve",
     "wave",
     "vfg.build",
     "opt1",
     "opt2",
-    "demand.query",
+    "explain",
 )
 
 
@@ -48,8 +48,7 @@ def heavy_source() -> str:
 
 def run_heavy(source: str):
     """Analyze, run under ``usher`` and explain every warning, as
-    ``repro check --explain`` does: the explanations are the demand
-    queries."""
+    ``repro check --explain`` does."""
     analysis = analyze(source=source, name=f"gen{SEED}")
     for uid in sorted(analysis.run("usher").warning_set()):
         analysis.explain(uid, config="usher")

@@ -1,4 +1,4 @@
-"""Observability for the analysis engines (solver + demand queries).
+"""Observability for the pointer-analysis constraint solver.
 
 :class:`SolverStats` counts the work the Andersen constraint solver
 actually performs — worklist pops, facts offered along edges, novel
@@ -15,13 +15,6 @@ story of difference propagation: a naive solver re-offers a node's full
 points-to set on every pop, so ``facts_propagated`` dwarfs
 ``facts_added``; the delta solver offers each fact along each edge
 once, so the two counters stay within a small factor of each other.
-
-:class:`QueryStats` is the same idea for the demand-driven definedness
-engine (:mod:`repro.vfg.demand`): per-query latency, states and
-distinct VFG nodes visited, memo hits and early ⊥-terminations.  The
-headline figure is ``peak_nodes_visited`` against ``graph_nodes`` —
-a demand query that touches a small fraction of the graph is the whole
-point of slicing instead of resolving Γ for every node.
 """
 
 from __future__ import annotations
@@ -123,33 +116,6 @@ class SolverStats:
     def total_seconds(self) -> float:
         return sum(self.phase_seconds.values())
 
-    def as_dict(self) -> Dict[str, object]:
-        """JSON-ready snapshot (used by the benchmark trajectory)."""
-        return {
-            "solver": self.solver,
-            "solve_passes": self.solve_passes,
-            "pops": self.pops,
-            "waves": self.waves,
-            "peak_wave_width": self.peak_wave_width,
-            "wave_reoffers_avoided": self.wave_reoffers_avoided,
-            "facts_propagated": self.facts_propagated,
-            "facts_added": self.facts_added,
-            "copy_edges": self.copy_edges,
-            "live_copy_edges": self.live_copy_edges,
-            "icall_bindings": self.icall_bindings,
-            "sccs_collapsed": self.sccs_collapsed,
-            "scc_nodes_merged": self.scc_nodes_merged,
-            "pk_reorders": self.pk_reorders,
-            "peak_worklist": self.peak_worklist,
-            "bytes_pts": self.bytes_pts,
-            "peak_rss": self.peak_rss,
-            "phase_seconds": {
-                name: round(seconds, 6)
-                for name, seconds in sorted(self.phase_seconds.items())
-            },
-            "total_seconds": round(self.total_seconds, 6),
-        }
-
     def merge(self, other: "SolverStats") -> None:
         """Fold ``other``'s counters into this instance."""
         self.solve_passes += other.solve_passes
@@ -220,131 +186,3 @@ class SolverStats:
                 f"  ({self.peak_rss / (1024 * 1024):.1f} MiB)",
             ]
         )
-
-
-@dataclass
-class QueryStats:
-    """Work counters for one demand-driven definedness engine.
-
-    Attributes:
-        resolver: ``"callstring"`` or ``"summary"``.
-        context_depth: Call-string depth (``-1`` for the summary mode).
-        graph_nodes: Node count of the queried VFG (the denominator of
-            the visited-fraction headline figure).
-        queries: Definedness queries answered.
-        bottom_verdicts: Queries that resolved ⊥ (maybe-undefined).
-        memo_hits: Queries answered straight from the memo table,
-            without visiting a single state.
-        states_visited: (node, context) search states expanded, summed
-            over all queries.
-        nodes_visited: Distinct VFG nodes touched, summed per query.
-        peak_nodes_visited: Largest single-query distinct-node count.
-        early_cutoffs: Searches stopped the moment a ⊥-path was found
-            (as opposed to exhausting the backward slice).
-        memo_entries: Current size of the engine's verdict memo.
-        query_seconds: Total wall time spent answering queries.
-        max_query_seconds: Slowest single query.
-    """
-
-    resolver: str = "callstring"
-    context_depth: int = 1
-    graph_nodes: int = 0
-    queries: int = 0
-    bottom_verdicts: int = 0
-    memo_hits: int = 0
-    states_visited: int = 0
-    nodes_visited: int = 0
-    peak_nodes_visited: int = 0
-    early_cutoffs: int = 0
-    memo_entries: int = 0
-    query_seconds: float = 0.0
-    max_query_seconds: float = 0.0
-
-    def note_query(
-        self,
-        *,
-        bottom: bool,
-        states: int,
-        nodes: int,
-        memo_hit: bool,
-        early_cutoff: bool,
-        seconds: float,
-    ) -> None:
-        """Record one answered query."""
-        self.queries += 1
-        if bottom:
-            self.bottom_verdicts += 1
-        if memo_hit:
-            self.memo_hits += 1
-        if early_cutoff:
-            self.early_cutoffs += 1
-        self.states_visited += states
-        self.nodes_visited += nodes
-        if nodes > self.peak_nodes_visited:
-            self.peak_nodes_visited = nodes
-        self.query_seconds += seconds
-        if seconds > self.max_query_seconds:
-            self.max_query_seconds = seconds
-
-    @property
-    def peak_visited_fraction(self) -> float:
-        """Largest single-query share of the graph actually visited."""
-        if not self.graph_nodes:
-            return 0.0
-        return self.peak_nodes_visited / self.graph_nodes
-
-    def as_dict(self) -> Dict[str, object]:
-        """JSON-ready snapshot (used by the benchmark trajectory)."""
-        return {
-            "resolver": self.resolver,
-            "context_depth": self.context_depth,
-            "graph_nodes": self.graph_nodes,
-            "queries": self.queries,
-            "bottom_verdicts": self.bottom_verdicts,
-            "memo_hits": self.memo_hits,
-            "states_visited": self.states_visited,
-            "nodes_visited": self.nodes_visited,
-            "peak_nodes_visited": self.peak_nodes_visited,
-            "peak_visited_fraction": round(self.peak_visited_fraction, 6),
-            "early_cutoffs": self.early_cutoffs,
-            "memo_entries": self.memo_entries,
-            "query_seconds": round(self.query_seconds, 6),
-            "max_query_seconds": round(self.max_query_seconds, 6),
-        }
-
-    def merge(self, other: "QueryStats") -> None:
-        """Fold ``other``'s counters into this instance."""
-        self.queries += other.queries
-        self.bottom_verdicts += other.bottom_verdicts
-        self.memo_hits += other.memo_hits
-        self.states_visited += other.states_visited
-        self.nodes_visited += other.nodes_visited
-        self.peak_nodes_visited = max(
-            self.peak_nodes_visited, other.peak_nodes_visited
-        )
-        self.early_cutoffs += other.early_cutoffs
-        self.memo_entries = max(self.memo_entries, other.memo_entries)
-        self.graph_nodes = max(self.graph_nodes, other.graph_nodes)
-        self.query_seconds += other.query_seconds
-        self.max_query_seconds = max(
-            self.max_query_seconds, other.max_query_seconds
-        )
-
-    def format_summary(self) -> str:
-        """Multi-line human-readable profile (CLI / harness report)."""
-        depth = "∞" if self.context_depth < 0 else str(self.context_depth)
-        lines = [
-            f"demand-query profile ({self.resolver}, depth {depth}, "
-            f"{self.graph_nodes} VFG nodes):",
-            f"  queries           {self.queries:>10d} "
-            f"({self.bottom_verdicts} ⊥, {self.memo_hits} memo hits)",
-            f"  states visited    {self.states_visited:>10d}",
-            f"  nodes visited     {self.nodes_visited:>10d} "
-            f"(peak {self.peak_nodes_visited}, "
-            f"{100 * self.peak_visited_fraction:.1f}% of graph)",
-            f"  early ⊥ cutoffs   {self.early_cutoffs:>10d}",
-            f"  memo entries      {self.memo_entries:>10d}",
-            f"  query time        {self.query_seconds:>9.4f}s "
-            f"(max {self.max_query_seconds:.4f}s)",
-        ]
-        return "\n".join(lines)

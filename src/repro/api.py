@@ -9,10 +9,9 @@ TinyC ``source`` or a compiled ``module``)::
     report = analysis.run("usher")
     print(report.warnings, analysis.slowdown("usher"))
 
-    # Demand-driven definedness queries (no whole-program resolution):
+    # Per-site definedness and its explanation:
     analysis.query(uid)          # Γ at one check site: defined?
     analysis.explain(uid)        # how F reaches it, step by step
-    analysis.query_stats()       # what the queries actually visited
 
 Definedness options (resolver, context depth, a single
 configuration) are passed as one
@@ -28,7 +27,6 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from repro.ir.module import Module
 from repro.ir.verifier import verify_module
-from repro.analysis.solverstats import QueryStats
 from repro.core import (
     InstrumentationPlan,
     PreparedModule,
@@ -49,8 +47,7 @@ from repro.runtime import (
     run_native,
 )
 from repro.tinyc import compile_source
-from repro.vfg.demand import DemandEngine
-from repro.vfg.explain import FlowStep, explain_undefined_demand
+from repro.vfg.explain import FlowStep, FlowTree, explain_depth
 from repro.vfg.graph import CheckSite, Node
 
 #: The analysis configurations of §4.5, in presentation order.
@@ -81,7 +78,7 @@ class Analysis:
     resolver: str = "callstring"
     _runs: Dict[str, ExecutionReport] = field(default_factory=dict)
     _native: Optional[ExecutionReport] = None
-    _engines: Dict[str, DemandEngine] = field(default_factory=dict)
+    _trees: Dict[str, FlowTree] = field(default_factory=dict)
     max_steps: int = MAX_STEPS
 
     def run_native(self) -> ExecutionReport:
@@ -106,7 +103,7 @@ class Analysis:
     def static_checks(self, config: str) -> int:
         return self.plans[config].count_checks()
 
-    # -- demand-driven queries ----------------------------------------
+    # -- per-site queries ----------------------------------------------
     def _pick_config(self, config: Optional[str]) -> Optional[str]:
         if config is not None:
             return config if config in self.results else None
@@ -115,28 +112,10 @@ class Analysis:
                 return name
         return next(iter(self.results), None)
 
-    def engine(self, config: Optional[str] = None) -> Optional[DemandEngine]:
-        """The demand engine over ``config``'s VFG (built lazily, one
-        per config, memo shared across all queries).  ``None`` when no
-        analyzed configuration is available (e.g. MSan only)."""
-        picked = self._pick_config(config)
-        if picked is None:
-            return None
-        if picked not in self._engines:
-            self._engines[picked] = DemandEngine(
-                self.results[picked].vfg,
-                context_depth=self.context_depth,
-                resolver=self.resolver,
-            )
-        return self._engines[picked]
-
-    def _site_nodes(self, site: Site, config: Optional[str]) -> List[Node]:
+    def _site_nodes(self, site: Site, picked: str) -> List[Node]:
         if isinstance(site, CheckSite):
             return [site.node] if site.node is not None else []
         if isinstance(site, int):
-            picked = self._pick_config(config)
-            if picked is None:
-                return []
             return [
                 s.node
                 for s in self.results[picked].vfg.check_sites
@@ -145,58 +124,49 @@ class Analysis:
         return [site]
 
     def query(self, site: Site, config: Optional[str] = None) -> bool:
-        """Γ at one check site, answered demand-driven: ``True`` iff
-        every value used there is ⊤ (definitely defined).
+        """Γ at one check site: ``True`` iff every value used there is
+        ⊤ (definitely defined).
 
         ``site`` may be a :class:`~repro.vfg.graph.CheckSite`, a VFG
         node, or an instruction uid (all critical operands at that
-        instruction).  Sites with no analyzable node (constants, or no
-        analyzed config) are trivially defined.
+        instruction).  Verdicts come from the eager Γ of the config's
+        VFG before Opt II.  Sites with no analyzable node (constants,
+        or no analyzed config) are trivially defined.
         """
-        engine = self.engine(config)
-        if engine is None:
+        picked = self._pick_config(config)
+        if picked is None:
             return True
+        gamma = self.prepared.gamma(self.results[picked].config)
         return all(
-            engine.is_defined(node)
-            for node in self._site_nodes(site, config)
+            gamma.is_defined(node) for node in self._site_nodes(site, picked)
         )
 
     def explain(
         self, site: Site, config: Optional[str] = None
     ) -> Optional[List[FlowStep]]:
-        """How an undefined value reaches ``site``: the shortest
-        realizable F-path, found by backward slicing (demand engine);
-        ``None`` when the site is defined.
+        """How an undefined value reaches ``site``: a shortest
+        realizable F-path from the config's :class:`FlowTree`, built
+        once and shared by every explanation; ``None`` when the site is
+        defined.
 
-        The path search always uses k-limited call strings (the
-        explanation semantics of :mod:`repro.vfg.explain`), even when
-        the analysis resolver is ``"summary"``.
+        The path search uses k-limited call strings at
+        :func:`~repro.vfg.explain.explain_depth`, so it explains every
+        ⊥ verdict of the ``"summary"`` resolver too.
         """
-        engine = self.engine(config)
-        if engine is None:
+        picked = self._pick_config(config)
+        if picked is None:
             return None
-        if engine.resolver != "callstring":
-            picked = self._pick_config(config)
-            key = f"{picked}/explain"
-            if key not in self._engines:
-                self._engines[key] = DemandEngine(
-                    self.results[picked].vfg,
-                    context_depth=max(self.context_depth, 1),
-                )
-            engine = self._engines[key]
-        for node in self._site_nodes(site, config):
-            steps = explain_undefined_demand(engine, self.module, node)
+        tree = self._trees.get(picked)
+        if tree is None:
+            tree = self._trees[picked] = FlowTree(
+                self.results[picked].vfg,
+                explain_depth(self.resolver, self.context_depth),
+            )
+        for node in self._site_nodes(site, picked):
+            steps = tree.explain(self.module, node)
             if steps is not None:
                 return steps
         return None
-
-    def query_stats(self, config: Optional[str] = None) -> Optional[QueryStats]:
-        """Accumulated :class:`QueryStats` of ``config``'s engine, or
-        ``None`` if no query has forced an engine yet."""
-        picked = self._pick_config(config)
-        if picked is None or picked not in self._engines:
-            return None
-        return self._engines[picked].stats
 
 
 def analyze(
@@ -222,8 +192,8 @@ def analyze(
     ``context_depth`` pick the context-matching discipline; ``config``
     analyzes that one configuration when ``configs`` is not given.
     Γ is resolved eagerly, by whole-program reachability from F;
-    :meth:`Analysis.query` / :meth:`Analysis.explain` answer single
-    sites demand-driven (:mod:`repro.vfg.demand`).
+    :meth:`Analysis.query` reads it and :meth:`Analysis.explain`
+    walks one shared :class:`~repro.vfg.explain.FlowTree` per config.
     """
     if (source is None) == (module is None):
         raise ValueError("pass exactly one of source= or module=")
@@ -233,7 +203,7 @@ def analyze(
     if configs is None and opts.config is not None:
         configs = [opts.config]
     if module is None:
-        with TRACE.span("parse", module=name):
+        with TRACE.span("tinyc.compile", module=name):
             module = compile_source(source, name)
 
     with TRACE.span("analyze", level=level):

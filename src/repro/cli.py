@@ -123,26 +123,29 @@ def _format_warning(analysis, uid: int) -> str:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    source = _read(args.file)
     tracing = getattr(args, "trace", None)
-    if tracing:
-        from repro.obs import TRACE
+    if not tracing:
+        return _check(args)
+    from repro.obs import TRACE
 
-        TRACE.clear()
-        TRACE.enable()
+    TRACE.clear()
+    TRACE.enable()
     try:
-        analysis = analyze(
-            source=source,
-            name=args.file,
-            level=args.level,
-            configs=[args.config],
-            options=options_from_args(args),
-        )
+        return _check(args)
     finally:
-        if tracing:
-            TRACE.disable()
-            spans = TRACE.write_chrome_trace(tracing)
-            print(f"trace: wrote {spans} span(s) to {tracing}")
+        TRACE.disable()
+        spans = TRACE.write_chrome_trace(tracing)
+        print(f"trace: wrote {spans} span(s) to {tracing}")
+
+
+def _check(args: argparse.Namespace) -> int:
+    analysis = analyze(
+        source=_read(args.file),
+        name=args.file,
+        level=args.level,
+        configs=[args.config],
+        options=options_from_args(args),
+    )
     plan = analysis.plans[args.config]
     if args.solver_stats:
         stats = analysis.prepared.solver_stats
@@ -200,14 +203,11 @@ def cmd_check(args: argparse.Namespace) -> int:
         status = 1
     else:
         print("no uses of undefined values detected")
-    if args.query_stats:
-        _print_query_stats(analysis, args.config)
     return status
 
 
 def _explain_warnings(analysis, config: str, warnings) -> None:
-    """Trace each warning back to F, demand-driven: only the warned
-    sites' backward slices are visited, never the whole VFG."""
+    """Trace each warning back to F along one shared flow tree."""
     explain_config = config if config in analysis.results else None
     for uid in warnings:
         steps = analysis.explain(uid, config=explain_config)
@@ -216,16 +216,6 @@ def _explain_warnings(analysis, config: str, warnings) -> None:
         print(f"\nhow the undefined value reaches uid {uid}:")
         for step in steps:
             print(step.render())
-
-
-def _print_query_stats(analysis, config: str) -> None:
-    """Profile of the demand engine the --explain queries ran on."""
-    stats = analysis.query_stats(config if config in analysis.results else None)
-    if stats is not None:
-        print()
-        print(stats.format_summary())
-    else:
-        print("\nno demand queries were issued (nothing to profile)")
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -269,26 +259,10 @@ def cmd_vfg(args: argparse.Namespace) -> int:
     module = compile_source(_read(args.file), args.file)
     run_pipeline(module, args.level)
     prepared = prepare_module(module)
-    if args.demand:
-        # On-demand coloring: build the VFG but resolve Γ only for the
-        # nodes actually rendered (with --function, a fraction of the
-        # graph), via the backward-slicing demand engine.
-        from repro.vfg.builder import build_vfg
-        from repro.vfg.demand import DemandEngine
-
-        vfg = build_vfg(
-            prepared.module,
-            prepared.pointers,
-            prepared.callgraph,
-            prepared.modref,
-        )
-        gamma = engine = DemandEngine(vfg)
-    else:
-        result = run_usher(prepared, UsherConfig.tl_at())
-        vfg, gamma, engine = result.vfg, result.gamma, None
+    result = run_usher(prepared, UsherConfig.tl_at())
     dot = vfg_to_dot(
-        vfg,
-        gamma,
+        result.vfg,
+        result.gamma,
         only_function=args.function,
         max_nodes=args.max_nodes,
     )
@@ -300,16 +274,6 @@ def cmd_vfg(args: argparse.Namespace) -> int:
             print(
                 "no solver stats recorded for this run (the pointer-"
                 "analysis phase did not produce a profile)",
-                file=sys.stderr,
-            )
-    if args.query_stats:
-        if engine is not None:
-            print(engine.stats.format_summary(), file=sys.stderr)
-        else:
-            print(
-                "no demand queries were issued (nothing to profile; "
-                "re-run with --demand to resolve definedness through "
-                "the demand engine)",
                 file=sys.stderr,
             )
     if args.output:
@@ -455,18 +419,14 @@ def build_parser() -> argparse.ArgumentParser:
                             "bitset bytes, peak RSS)")
     check.add_argument("--explain", action="store_true",
                        help="trace each warning's undefined value back "
-                            "to its origin (demand-driven: only the "
-                            "warned sites' backward slices are visited)")
-    check.add_argument("--query-stats", action="store_true",
-                       help="print the demand-query work profile "
-                            "(states/nodes visited, memo hits, latency) "
-                            "of the --explain queries; without them, "
-                            "explains that nothing was profiled")
+                            "to its origin (a shortest realizable "
+                            "value-flow path from F)")
     check.add_argument("--trace", default=None, metavar="PATH",
-                       help="capture a span trace of the whole static "
-                            "pipeline (parse, constraint gen, per-wave "
-                            "solve, VFG build, Opt I/II, Γ resolution) "
-                            "and write it as Chrome trace-event JSON "
+                       help="capture a span trace of the whole command "
+                            "(TinyC compile, constraint gen, per-wave "
+                            "solve, VFG build, Opt I/II, Γ resolution, the "
+                            "instrumented run, the --explain search) and "
+                            "write it as Chrome trace-event JSON "
                             "(load in chrome://tracing or Perfetto)")
     check.set_defaults(func=cmd_check)
 
@@ -490,20 +450,12 @@ def build_parser() -> argparse.ArgumentParser:
     vfg.add_argument("--function", default=None,
                      help="restrict to one function")
     vfg.add_argument("--max-nodes", type=int, default=400)
-    vfg.add_argument("--demand", action="store_true",
-                     help="color definedness on demand (resolve only "
-                          "the rendered nodes by backward slicing)")
     vfg.add_argument("--solver-stats", action="store_true",
                      help="print the constraint-solver work profile to "
                           "stderr (pops, propagated facts, collapsed "
                           "SCCs, phase timings); the profile comes from "
                           "the pointer-analysis phase this command "
                           "always runs")
-    vfg.add_argument("--query-stats", action="store_true",
-                     help="print the demand-query work profile to "
-                          "stderr; requires the demand engine (--demand) "
-                          "to have run, otherwise explains that nothing "
-                          "was profiled")
     vfg.add_argument("-o", "--output", default=None)
     vfg.set_defaults(func=cmd_vfg)
 

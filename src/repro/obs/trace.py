@@ -3,9 +3,10 @@
 One process-wide :class:`Tracer` (the :data:`TRACE` singleton, aliased
 :data:`trace`) records *spans* — named, tagged wall-clock intervals —
 into a flat list with parent links, so a whole ``analyze()`` run
-becomes one tree: parse under the root, constraint generation and the
-per-wave solve loop under ``prepare``, VFG building, Opt I/II and
-demand queries under each configuration.  Producers write spans with
+becomes one tree: the TinyC compile under the root, constraint
+generation and the per-wave solve loop under ``prepare``, VFG
+building, Opt I/II and Γ resolution under each configuration, and one
+``explain`` span per flow-path search.  Producers write spans with
 the context-manager / decorator API::
 
     from repro.obs import TRACE
@@ -19,7 +20,7 @@ the context-manager / decorator API::
 Tracing is **off by default** and a disabled tracer is a no-op behind
 a single attribute check: ``TRACE.span(...)`` returns the shared
 :data:`NOOP_SPAN` singleton without allocating, and hot loops guard
-with ``if TRACE.enabled:`` so per-wave / per-query spans cost nothing
+with ``if TRACE.enabled:`` so per-wave spans cost nothing
 when nobody is looking (the bound is enforced by
 ``benchmarks/test_observability.py``).
 

@@ -51,8 +51,7 @@ from repro.core.usher import (
 from repro.core.plan import InstrumentationPlan
 from repro.options import AnalysisOptions
 from repro.tinyc import compile_source
-from repro.vfg.demand import DemandEngine
-from repro.vfg.explain import FlowStep, explain_check_site
+from repro.vfg.explain import FlowStep, FlowTree, explain_depth
 from repro.vfg.graph import VFG
 
 __all__ = ["AnalysisSession", "UpdateStats", "plan_signature"]
@@ -174,7 +173,8 @@ class AnalysisSession:
         self._prepared: Optional[PreparedModule] = None
         self._result: Optional[UsherResult] = None
 
-        self._explain_cache: Optional[Tuple[int, DemandEngine]] = None
+        #: The current generation's flow tree, built on first explain.
+        self._explain_cache: Optional[Tuple[int, FlowTree]] = None
 
         self.generation = 0
         self.last_update: Optional[UpdateStats] = None
@@ -375,12 +375,12 @@ class AnalysisSession:
         self, instr_uid: int, max_steps: int = 50
     ) -> Optional[List[FlowStep]]:
         """A shortest undefined-value flow chain into ``instr_uid``'s
-        first ⊥ operand, or ``None`` when every operand is defined."""
-        return explain_check_site(
-            self.vfg,
-            self.module,
-            instr_uid,
-            engine=self._explain_engine(),
+        first ⊥ operand, or ``None`` when every operand is defined.
+
+        Every uid :meth:`query_sites` calls undefined has a chain: the
+        search runs at :func:`~repro.vfg.explain.explain_depth`."""
+        return self._flow_tree().explain_site(
+            self.module, instr_uid, max_steps=max_steps
         )
 
     def stats(self) -> Dict:
@@ -447,20 +447,16 @@ class AnalysisSession:
         self.last_update = stats
         return stats
 
-    # -- query-side engines ----------------------------------------------
-    def _explain_engine(self) -> DemandEngine:
+    def _flow_tree(self) -> FlowTree:
         if (
-            self._explain_cache is not None
-            and self._explain_cache[0] == self.generation
+            self._explain_cache is None
+            or self._explain_cache[0] != self.generation
         ):
-            return self._explain_cache[1]
-        engine = DemandEngine(
-            self.vfg,
-            context_depth=max(1, self._config.context_depth),
-            resolver="callstring",
-        )
-        self._explain_cache = (self.generation, engine)
-        return engine
+            depth = explain_depth(
+                self._config.resolver, self._config.context_depth
+            )
+            self._explain_cache = (self.generation, FlowTree(self.vfg, depth))
+        return self._explain_cache[1]
 
 
 # ----------------------------------------------------------------------

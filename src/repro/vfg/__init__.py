@@ -2,13 +2,7 @@
 
 from repro.vfg.builder import build_vfg
 from repro.vfg.definedness import Definedness, resolve_definedness, step_context
-from repro.vfg.demand import DemandEngine
-from repro.vfg.explain import (
-    FlowStep,
-    explain_check_site,
-    explain_undefined,
-    explain_undefined_demand,
-)
+from repro.vfg.explain import FlowStep, FlowTree, explain_undefined
 from repro.vfg.graph import (
     BOT,
     CALL,
@@ -32,11 +26,9 @@ __all__ = [
     "Definedness",
     "resolve_definedness",
     "step_context",
-    "DemandEngine",
     "FlowStep",
-    "explain_check_site",
+    "FlowTree",
     "explain_undefined",
-    "explain_undefined_demand",
     "BOT",
     "CALL",
     "INTRA",

@@ -79,9 +79,9 @@ def step_context(
 ) -> Optional[Context]:
     """Advance a k-limited call string across one value-flow edge.
 
-    The single transition function both the whole-program resolution and
-    the demand engine's backward preimages are defined against: ``CALL``
-    pushes the call site (truncating at ``depth``), ``RET`` pops a
+    The single transition function of the whole-program resolution and
+    of the explanation search (:class:`repro.vfg.explain.FlowTree`):
+    ``CALL`` pushes the call site (truncating at ``depth``), ``RET`` pops a
     matching site (``None`` = unrealizable), everything else is a
     no-op.  A truncated (empty) string may return to any call site.
     """

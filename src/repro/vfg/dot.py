@@ -54,20 +54,13 @@ def vfg_to_dot(
     gamma: Optional[Definedness] = None,
     only_function: Optional[str] = None,
     max_nodes: int = 400,
-    highlight: Optional[Set[Node]] = None,
 ) -> str:
     """Render ``vfg`` as DOT text.
 
     ``only_function`` restricts to one function's nodes (plus roots and
     direct interprocedural neighbours); ``max_nodes`` guards against
-    unreadable outputs (raises ValueError when exceeded).
-
-    ``gamma`` may be any object with ``is_defined`` — in particular a
-    :class:`~repro.vfg.demand.DemandEngine`, in which case only the
-    *rendered* nodes are ever resolved (on-demand coloring: with
-    ``only_function`` the rest of the graph is never visited).
-    ``highlight`` draws the given nodes (e.g. a demand query's
-    backward slice) with a bold blue border.
+    unreadable outputs (raises ValueError when exceeded).  ``gamma``
+    colors the ⊥ nodes.
     """
     checked: Set[Node] = {
         site.node for site in vfg.check_sites if site.node is not None
@@ -100,8 +93,6 @@ def vfg_to_dot(
             attrs.append('style=filled, fillcolor="#d9ead3"')
         if node in checked:
             attrs.append("peripheries=2")
-        if highlight and node in highlight:
-            attrs.append('color="#3c78d8", penwidth=2')
         lines.append(f"  {_node_id(node, ids)} [{', '.join(attrs)}];")
 
     for edge in sorted(vfg.edges(), key=str):

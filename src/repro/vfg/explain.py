@@ -1,21 +1,15 @@
-"""Explain why a value may be undefined: shortest realizable F-path.
+"""Explain why a value may be undefined: shortest realizable F-paths.
 
 Given a ⊥ node (typically a critical use the analysis kept a check
 for), finds a shortest *realizable* value-flow path from the F root —
 the same call/return-matched traversal definedness resolution performs,
-with parent links — and renders it step by step with source lines.
-This is the diagnostic companion to a warning: not just *where* an
-undefined value was used, but *how* it got there.
+breadth-first and with parent links — and renders it step by step with
+source lines.  This is the diagnostic companion to a warning: not just
+*where* an undefined value was used, but *how* it got there.
 
-Two path finders produce the same renderable chain shape:
-
-* :func:`explain_undefined` — the original forward BFS from F (visits
-  the whole reachable state space up to the target; kept as the
-  oracle);
-* the demand engine's backward slice
-  (:meth:`repro.vfg.demand.DemandEngine.find_bottom_chain`), rendered
-  through :func:`steps_from_chain` — what ``repro check --explain``
-  uses, visiting only the target's backward slice.
+One :class:`FlowTree` (one BFS over the whole reachable state space)
+answers every explanation of a VFG at one call-string depth; after it
+is built each chain is a walk up its parent links.
 """
 
 from __future__ import annotations
@@ -25,11 +19,17 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.ir.module import Module
+from repro.obs.trace import TRACE
 from repro.vfg.definedness import step_context
-from repro.vfg.graph import BOT, CALL, RET, Edge, MemNode, Node, Root, TopNode, VFG
+from repro.vfg.graph import BOT, CALL, RET, Edge, Node, Root, VFG
 
 Context = Tuple[int, ...]
-State = Tuple[Node, Context]
+#: A BFS state: (node id, k-limited call string).
+State = Tuple[int, Context]
+#: How a state was first reached: (parent state, edge kind, callsite).
+Link = Tuple[State, str, Optional[int]]
+#: A forward F → node path as (node, edge taken into it) pairs.
+Chain = List[Tuple[Node, Optional[Edge]]]
 
 
 @dataclass
@@ -51,6 +51,99 @@ class FlowStep:
         return f"  {where:>9} | {self.description}{arrow}"
 
 
+def explain_depth(resolver: str, context_depth: int) -> int:
+    """The call-string depth whose chains explain every ⊥ verdict of
+    ``resolver`` at ``context_depth``: that depth for ``callstring``,
+    at least 1 for ``summary`` (whose ⊥ set lies inside every
+    k-limited one)."""
+    return context_depth if resolver == "callstring" else max(context_depth, 1)
+
+
+class FlowTree:
+    """Shortest realizable F → node chains for every ⊥ node of ``vfg``.
+
+    A forward BFS from (F, ``()``) over (node, ``context_depth``-limited
+    call string) states, stepping contexts with
+    :func:`~repro.vfg.definedness.step_context` and recording each
+    state's parent edge.  A node's chain ends at the first state that
+    reached it.  The graph must not change while the tree is in use.
+    """
+
+    def __init__(self, vfg: VFG, context_depth: int = 1) -> None:
+        self.vfg = vfg
+        self.context_depth = context_depth
+        #: state -> how it was first reached; F's state maps to None
+        self._parents: Dict[State, Optional[Link]] = {}
+        #: node id -> the first state that reached it
+        self._first: Dict[int, State] = {}
+        start = vfg.node_id(BOT)
+        with TRACE.span("explain", depth=context_depth) as span:
+            if start is not None:
+                self._search((start, ()))
+            span.tag(states=len(self._parents))
+
+    def _search(self, start: State) -> None:
+        parents = self._parents
+        first = self._first
+        rows_out_of = self.vfg.rows_out_of
+        depth = self.context_depth
+        parents[start] = None
+        first[start[0]] = start
+        queue = deque([start])
+        while queue:
+            state = queue.popleft()
+            for _, dst, kind, callsite in rows_out_of(state[0]):
+                ctx = step_context(state[1], kind, callsite, depth)
+                if ctx is None:
+                    continue  # mismatched return: unrealizable path
+                nxt = (dst, ctx)
+                if nxt not in parents:
+                    parents[nxt] = (state, kind, callsite)
+                    first.setdefault(dst, nxt)
+                    queue.append(nxt)
+
+    def chain(self, node: Optional[Node]) -> Optional[Chain]:
+        """The shortest realizable F → ``node`` path, F first; ``None``
+        when ``node`` is a constant, a root or unreachable from F
+        (defined)."""
+        if node is None or isinstance(node, Root):
+            return None
+        state = self._first.get(self.vfg.node_id(node))
+        if state is None:
+            return None
+        table = self.vfg.node_table()
+        chain: Chain = []
+        link = self._parents[state]
+        while link is not None:
+            parent, kind, callsite = link
+            dst = table[state[0]]
+            chain.append((dst, Edge(table[parent[0]], dst, kind, callsite)))
+            state, link = parent, self._parents[parent]
+        chain.append((table[state[0]], None))
+        chain.reverse()
+        return chain
+
+    def explain(
+        self, module: Module, node: Optional[Node], max_steps: int = 50
+    ) -> Optional[List[FlowStep]]:
+        """:meth:`chain` rendered as flow steps."""
+        chain = self.chain(node)
+        if chain is None:
+            return None
+        return steps_from_chain(chain, self.vfg, module, max_steps=max_steps)
+
+    def explain_site(
+        self, module: Module, instr_uid: int, max_steps: int = 50
+    ) -> Optional[List[FlowStep]]:
+        """Explain the first ⊥ critical use at instruction ``instr_uid``."""
+        for site in self.vfg.check_sites:
+            if site.instr_uid == instr_uid:
+                steps = self.explain(module, site.node, max_steps)
+                if steps is not None:
+                    return steps
+        return None
+
+
 def explain_undefined(
     vfg: VFG,
     module: Module,
@@ -59,47 +152,19 @@ def explain_undefined(
     max_steps: int = 50,
 ) -> Optional[List[FlowStep]]:
     """The shortest realizable F → ``target`` path, or ``None`` if the
-    node is not reachable from F (i.e. it is defined)."""
-    parents: Dict[State, Tuple[Optional[State], Optional[Edge]]] = {}
-    start: State = (BOT, ())
-    parents[start] = (None, None)
-    queue: deque = deque([start])
-    goal: Optional[State] = None
-    while queue:
-        node, ctx = queue.popleft()
-        if node == target:
-            goal = (node, ctx)
-            break
-        for edge in vfg.flows_of(node):
-            next_ctx = step_context(ctx, edge.kind, edge.callsite, context_depth)
-            if next_ctx is None:
-                continue
-            state = (edge.dst, next_ctx)
-            if state not in parents:
-                parents[state] = ((node, ctx), edge)
-                queue.append(state)
-    if goal is None:
-        return None
-
-    # Reconstruct.
-    chain: List[Tuple[Node, Optional[Edge]]] = []
-    state: Optional[State] = goal
-    while state is not None:
-        parent, edge = parents[state]
-        chain.append((state[0], edge))
-        state = parent
-    chain.reverse()
-    return steps_from_chain(chain, vfg, module, max_steps=max_steps)
+    node is not reachable from F (i.e. it is defined).  Builds a
+    one-off :class:`FlowTree`; keep one to explain many nodes."""
+    return FlowTree(vfg, context_depth).explain(module, target, max_steps)
 
 
 def steps_from_chain(
-    chain: List[Tuple[Node, Optional[Edge]]],
+    chain: Chain,
     vfg: VFG,
     module: Module,
     max_steps: int = 50,
 ) -> List[FlowStep]:
     """Render a forward F → target chain of ``(node, incoming edge)``
-    pairs — the shape both path finders produce — as flow steps."""
+    pairs (:meth:`FlowTree.chain`) as flow steps."""
     by_uid = module.instr_by_uid()
     steps: List[FlowStep] = []
     for node, edge in chain[: max_steps + 1]:
@@ -143,43 +208,3 @@ def _describe(node: Node, kind: str, instr) -> str:
 
 def _name(node: Node) -> str:
     return str(node)
-
-
-def explain_undefined_demand(
-    engine,
-    module: Module,
-    target: Node,
-    max_steps: int = 50,
-) -> Optional[List[FlowStep]]:
-    """Demand-driven twin of :func:`explain_undefined`: the same
-    shortest realizable F → ``target`` path, found by backward-slicing
-    only ``target``'s dependence cone through a
-    :class:`~repro.vfg.demand.DemandEngine`."""
-    chain = engine.find_bottom_chain(target)
-    if chain is None:
-        return None
-    return steps_from_chain(chain, engine.vfg, module, max_steps=max_steps)
-
-
-def explain_check_site(
-    vfg: VFG,
-    module: Module,
-    instr_uid: int,
-    context_depth: int = 1,
-    engine=None,
-) -> Optional[List[FlowStep]]:
-    """Explain the first ⊥ critical use at instruction ``instr_uid``.
-
-    With ``engine`` (a :class:`~repro.vfg.demand.DemandEngine` over
-    ``vfg``) the path is found demand-driven; otherwise by the
-    whole-graph forward BFS.
-    """
-    for site in vfg.check_sites:
-        if site.instr_uid == instr_uid and site.node is not None:
-            if engine is not None:
-                steps = explain_undefined_demand(engine, module, site.node)
-            else:
-                steps = explain_undefined(vfg, module, site.node, context_depth)
-            if steps is not None:
-                return steps
-    return None

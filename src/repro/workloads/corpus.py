@@ -38,9 +38,6 @@ BASE_CONFIG_SPECS = ("tl", "tl_at", "opt_i", "full")
 #: Manifest schema marker.
 CORPUS_SCHEMA = "repro.corpus/1"
 
-#: Environment override for the corpus directory.
-CORPUS_ENV = "REPRO_CORPUS_DIR"
-
 #: Manifest file name inside the corpus directory.
 MANIFEST = "manifest.json"
 
@@ -76,12 +73,10 @@ class CorpusSeed:
 
 
 def default_corpus_dir() -> Optional[Path]:
-    """Resolve the corpus directory: ``$REPRO_CORPUS_DIR``, then the
-    repo-checkout location relative to this package, then the current
-    working directory.  ``None`` when none of them exists."""
-    env = os.environ.get(CORPUS_ENV)
-    if env:
-        return Path(env)
+    """Resolve the corpus directory: the repo-checkout location
+    relative to this package, then the current working directory.
+    ``None`` when neither exists (``repro promote --corpus-dir`` names
+    another one)."""
     checkout = Path(__file__).resolve().parents[3] / "tests" / "data" / "corpus"
     if checkout.is_dir():
         return checkout
@@ -283,7 +278,6 @@ def promote(
 
 __all__ = [
     "BASE_CONFIG_SPECS",
-    "CORPUS_ENV",
     "CORPUS_SCHEMA",
     "MANIFEST",
     "CorpusError",

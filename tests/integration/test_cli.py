@@ -84,7 +84,7 @@ class TestCheck:
             for e in _json.loads(out.read_text())["traceEvents"]
             if e["ph"] == "X"
         }
-        assert {"parse", "analyze", "pointer_analysis"} <= names
+        assert {"tinyc.compile", "analyze", "pointer_analysis"} <= names
 
     def test_trace_still_written_on_compile_error(self, tmp_path, capsys):
         from repro.obs.trace import TRACE

@@ -51,7 +51,11 @@ class TestCorpusShape:
         assert "seed185" in names
         assert len(names - {"seed185"}) >= 2
 
-    def test_default_dir_resolves_to_the_checkout(self):
+    def test_default_dir_resolves_to_the_checkout(self, monkeypatch, tmp_path):
+        assert default_corpus_dir() == CORPUS_DIR
+        # The environment no longer redirects it: ``repro promote
+        # --corpus-dir`` is the one way to name another directory.
+        monkeypatch.setenv("REPRO_CORPUS_DIR", str(tmp_path))
         assert default_corpus_dir() == CORPUS_DIR
 
     def test_manifest_covers_every_committed_ir_file(self):

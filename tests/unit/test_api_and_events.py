@@ -111,23 +111,10 @@ class TestDemandQueries:
         assert analysis.query(defined) is True
         assert analysis.explain(defined) is None
 
-    def test_query_stats_accumulate(self):
-        analysis = analyze(source=BUGGY_SOURCE, configs=["usher_tl_at"])
-        assert analysis.query_stats() is None  # no engine forced yet
-        result = analysis.results["usher_tl_at"]
-        for site in result.vfg.check_sites:
-            analysis.query(site)
-        stats = analysis.query_stats()
-        assert stats is not None
-        assert stats.queries > 0
-        assert stats.graph_nodes == result.vfg.num_nodes
-
     def test_msan_only_analysis_degrades_gracefully(self):
         analysis = analyze(source=BUGGY_SOURCE, configs=["msan"])
-        assert analysis.engine() is None
         assert analysis.query(12345) is True
         assert analysis.explain(12345) is None
-        assert analysis.query_stats() is None
 
     def test_summary_resolver_still_explains(self):
         analysis = analyze(

@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.api import analyze
 from repro.core import UsherConfig, run_usher
-from repro.vfg.explain import explain_check_site, explain_undefined
+from repro.options import AnalysisOptions
+from repro.service.session import AnalysisSession
+from repro.vfg.explain import FlowTree, explain_undefined
 from repro.vfg.graph import BOT, Root
 from tests.helpers import analyzed
 
@@ -74,8 +77,8 @@ class TestExplain:
     def test_by_check_site_uid(self, setup):
         prepared, result = setup
         site = self._bottom_site(result)
-        steps = explain_check_site(
-            result.vfg, prepared.module, site.instr_uid
+        steps = FlowTree(result.vfg).explain_site(
+            prepared.module, site.instr_uid
         )
         assert steps is not None
         assert steps[-1].node == site.node
@@ -96,3 +99,48 @@ class TestExplain:
         out = capsys.readouterr().out
         assert "how the undefined value reaches" in out
         assert "originates" in out
+
+
+#: ⊥ at call-string depth 0 only: ``u`` and ``1`` merge inside ``id``.
+MERGED_AT_DEPTH_0 = """
+def id(x) { return x; }
+def main() {
+  var u;
+  var a = id(u);
+  var b = id(1);
+  if (b) { return 1; }
+  return 0;
+}
+"""
+
+
+class TestExplainDepth:
+    """Every uid a verdict calls undefined has an explanation."""
+
+    OPTIONS = [
+        AnalysisOptions(config="usher_tl_at", context_depth=depth)
+        for depth in (0, 1, 2)
+    ] + [AnalysisOptions(config="usher_tl_at", resolver="summary")]
+
+    @pytest.mark.parametrize(
+        "source", [MERGED_AT_DEPTH_0, SOURCE], ids=["merged", "classify"]
+    )
+    @pytest.mark.parametrize(
+        "options", OPTIONS, ids=["k0", "k1", "k2", "summary"]
+    )
+    def test_session_explains_its_bottom_verdicts(self, source, options):
+        session = AnalysisSession.from_source(source, options=options)
+        undefined = [
+            uid for uid, ok in session.query_sites().items() if not ok
+        ]
+        for uid in undefined:
+            assert session.explain(uid) is not None, uid
+        analysis = analyze(source=source, options=options)
+        for uid in undefined:
+            assert analysis.explain(uid) is not None, uid
+
+    def test_depth_0_has_a_bottom_verdict(self):
+        session = AnalysisSession.from_source(
+            MERGED_AT_DEPTH_0, options=self.OPTIONS[0]
+        )
+        assert not all(session.query_sites().values())

@@ -1,8 +1,9 @@
-"""Repo hygiene: generated Python bytecode must never be committed.
+"""Repo hygiene: generated Python files must never be committed.
 
-``__pycache__`` directories and ``*.pyc`` files appear next to the
-sources on every run; if one slips into the git index it churns every
-diff and can shadow a deleted module.  This test fails the suite the
+``__pycache__`` directories, ``*.pyc`` files and ``*.egg-info/``
+packaging metadata appear next to the sources on every run or
+install; if one slips into the git index it churns every diff and can
+shadow a deleted module or go stale.  This test fails the suite the
 moment the index contains one, and checks that ``.gitignore`` keeps
 them out in the first place.
 """
@@ -36,10 +37,12 @@ def test_no_bytecode_in_git_index():
     offenders = [
         path
         for path in tracked
-        if "__pycache__" in path or path.endswith((".pyc", ".pyo"))
+        if "__pycache__" in path
+        or ".egg-info/" in path
+        or path.endswith((".pyc", ".pyo"))
     ]
     assert not offenders, (
-        "generated bytecode is committed — `git rm -r --cached` these: "
+        "generated files are committed — `git rm -r --cached` these: "
         f"{offenders}"
     )
 
@@ -47,5 +50,5 @@ def test_no_bytecode_in_git_index():
 def test_gitignore_covers_bytecode():
     gitignore = (REPO_ROOT / ".gitignore").read_text().splitlines()
     patterns = {line.strip() for line in gitignore}
-    for required in ("__pycache__/", "*.pyc"):
+    for required in ("__pycache__/", "*.pyc", "*.egg-info/"):
         assert required in patterns, f".gitignore lacks {required!r}"
