@@ -318,7 +318,7 @@ class _Generator:
             self._demand_deps(node)
         else:
             # const/addr/alloc results are structurally ⊤; reaching here
-            # means Γ was degraded (e.g. Opt II scratch graphs) — a
+            # means Γ was degraded (e.g. Opt II's rewired Γ) — a
             # strong update is always sound for them.
             self.plan.add_post(uid, SetShadowVar(slot, True))
 

@@ -5,10 +5,11 @@ top-level variable ``x`` would be detected there, its rippling effect on
 *later* (dominated) statements is redundant: any node ``r`` outside
 ``x``'s must-flow-from closure that consumes a closure value, and whose
 defining statement is dominated by ``s``, can have those incoming edges
-redirected to ⊤ on a scratch copy of the VFG.  Re-resolving Γ on the
-modified graph eliminates the dominated checks; guided instrumentation
-is then performed on the *original* VFG with the new Γ so that every
-shadow value remains correctly initialized (Algorithm 1, line 9 note).
+redirected to ⊤.  The rewiring lives in a :class:`VFGOverlay` over the
+shared VFG, which is never written.  Re-resolving Γ on the rewired view
+eliminates the dominated checks; guided instrumentation is then
+performed on the *original* VFG with the new Γ so that every shadow
+value remains correctly initialized (Algorithm 1, line 9 note).
 
 Bit-level adjustment (§4.1 applied to Algorithm 1): a consumer from
 which a bitwise operation is still flow-reachable is never redirected
@@ -29,7 +30,9 @@ from repro.ir.module import Module
 from repro.analysis.callgraph import CallGraph
 from repro.vfg.builder import is_concrete_loc
 from repro.vfg.definedness import Definedness
-from repro.vfg.graph import BOT, TOP, MemNode, Root, TopNode, VFG
+from repro.vfg.graph import (
+    BOT, TOP, GraphView, MemNode, Root, TopNode, VFG, VFGOverlay,
+)
 from repro.vfg.mfc import _BITWISE_OPS, closure_ids
 from repro.vfg.tabulation import resolve_gamma
 
@@ -64,7 +67,7 @@ def redundant_check_elimination(
     of the check over a consumer in *another* function is established
     when that function is reachable only through call sites dominated by
     the check (transitively)."""
-    scratch = vfg.copy()
+    rewired = VFGOverlay(vfg)
     by_uid = module.instr_by_uid()
     dts: Dict[str, DominatorTree] = {
         name: DominatorTree(f) for name, f in module.functions.items()
@@ -73,18 +76,18 @@ def redundant_check_elimination(
     stats = Opt2Stats()
     # Lines 3-8 run on node ids: the closure, consumer and redirect
     # sets are int sets, def sites are read from id-indexed columns.
-    table = scratch.node_table()
-    uids, kinds = scratch.def_columns()
-    top = scratch.node_id(TOP)
-    roots = {nid for nid in (top, scratch.node_id(BOT)) if nid is not None}
+    table = rewired.node_table()
+    uids, kinds = rewired.def_columns()
+    top = rewired.node_id(TOP)
+    roots = {nid for nid in (top, rewired.node_id(BOT)) if nid is not None}
     redirected: Set[int] = set()
-    barred = _feeds_bitwise(scratch, by_uid)
+    barred = _feeds_bitwise(rewired, by_uid)
     # ⊤ joins every closure fed by a constant, and its out-edges span
     # the whole program.  Intraprocedurally only a consumer in the
     # check's own function can be redirected, so ⊤'s consumers are
     # indexed once by that function and Line 5 reads one bucket.
     top_consumers = (
-        None if interprocedural else _top_consumers_by_function(scratch, by_uid)
+        None if interprocedural else _top_consumers_by_function(rewired, by_uid)
     )
     #: load id -> ids of its μ'd concrete locations' versions (Line 4)
     load_mems: Dict[int, List[int]] = {}
@@ -97,12 +100,12 @@ def redundant_check_elimination(
             continue
         stats.sites_processed += 1
         check_func = check_instr.block.function.name
-        sink = scratch.node_id(site.node)
+        sink = rewired.node_id(site.node)
         if sink is None:
             continue  # no edge touches it: no consumers
 
         # Line 3: the must-flow-from closure of x.
-        closure, _ = closure_ids(scratch, by_uid, sink)
+        closure, _ = closure_ids(rewired, by_uid, sink)
 
         # Line 4: add μ'd concrete locations of loads in the closure.
         for nid in list(closure):
@@ -111,7 +114,7 @@ def redundant_check_elimination(
             mems = load_mems.get(nid)
             if mems is None:
                 mems = load_mems[nid] = _load_mems(
-                    scratch, by_uid.get(uids[nid]), table[nid].func, module,
+                    rewired, by_uid.get(uids[nid]), table[nid].func, module,
                     callgraph, loops,
                 )
             closure.update(mems)
@@ -122,7 +125,7 @@ def redundant_check_elimination(
             if top_consumers is not None and nid == top:
                 consumers.update(top_consumers.get(check_func, set()) - closure)
                 continue
-            for _, dst, _, _ in scratch.rows_out_of(nid):
+            for _, dst, _, _ in rewired.rows_out_of(nid):
                 if dst not in closure and dst not in roots:
                     consumers.add(dst)
 
@@ -163,13 +166,14 @@ def redundant_check_elimination(
                         r_func, check_instr, callgraph, by_uid, dts
                     ):
                         continue
-            if scratch.remove_rows_into(r, closure):
-                scratch.add_edge(TOP, table[r])
+            if rewired.remove_rows_into(r, closure):
+                rewired.redirect_to_top(r)
                 if top is None:
                     # The first edge out of ⊤ interned it.
-                    top = scratch.node_id(TOP)
+                    top = rewired.node_id(TOP)
+                    table = rewired.node_table()
                     roots.add(top)
-                    uids, kinds = scratch.def_columns()
+                    uids, kinds = rewired.def_columns()
                 if top_consumers is not None:
                     top_consumers.setdefault(r_func, set()).add(r)
                 redirected.add(r)
@@ -177,11 +181,11 @@ def redundant_check_elimination(
                     stats.interprocedural_redirects += 1
 
     stats.redirected_nodes = len(redirected)
-    return resolve_gamma(scratch, resolver, context_depth), stats
+    return resolve_gamma(rewired, resolver, context_depth), stats
 
 
 def _load_mems(
-    vfg: VFG, load, func: str, module: Module, callgraph, loops
+    vfg: GraphView, load, func: str, module: Module, callgraph, loops
 ) -> List[int]:
     """Line 4's additions for one load in the closure: the ids of the
     versions of its μ'd locations that are concrete cells.  ``func`` is
@@ -197,7 +201,7 @@ def _load_mems(
     return mems
 
 
-def _top_consumers_by_function(vfg: VFG, by_uid) -> Dict[str, Set[int]]:
+def _top_consumers_by_function(vfg: GraphView, by_uid) -> Dict[str, Set[int]]:
     """The ids of ⊤'s non-root consumers, bucketed by the function of
     their defining instruction (how Lines 6-8 resolve a consumer's
     function).
@@ -221,7 +225,7 @@ def _top_consumers_by_function(vfg: VFG, by_uid) -> Dict[str, Set[int]]:
     return buckets
 
 
-def _feeds_bitwise(vfg: VFG, by_uid) -> Set[int]:
+def _feeds_bitwise(vfg: GraphView, by_uid) -> Set[int]:
     """Ids of the nodes from which a bitwise binary operation is
     flow-reachable.
 
@@ -232,9 +236,9 @@ def _feeds_bitwise(vfg: VFG, by_uid) -> Set[int]:
     rippled copy of the dominating check's.  Redirecting a value that
     still feeds a bitwise operation to ⊤ would let the re-resolved Γ
     discharge such downstream checks, trading an exact report away;
-    those consumers are left untouched.  The set is computed once on
-    the unmodified scratch graph — redirects only remove edges, so it
-    stays a (conservative) superset throughout.
+    those consumers are left untouched.  The set is computed once,
+    before any redirect — redirects only remove edges into consumers, so
+    it stays a (conservative) superset throughout.
     """
     table = vfg.node_table()
     uids, kinds = vfg.def_columns()

@@ -11,8 +11,8 @@ Typical use::
 and shares it, read-only, across the configurations that ask for the
 same graph; likewise the eager definedness resolution (phase 4) of each
 graph.  Each configuration optionally applies the VFG-based
-optimizations (phase 5 — Opt I/Opt II; Opt II rewires a private copy)
-and generates guided instrumentation.
+optimizations (phase 5 — Opt I/Opt II; Opt II rewires an overlay over
+the shared graph) and generates guided instrumentation.
 """
 
 from __future__ import annotations
@@ -138,7 +138,8 @@ class PreparedModule:
         """The VFG ``config`` analyzes, built on first request.
 
         Configurations with the same :func:`_graph_key` get the same
-        object; no consumer may mutate it (Opt II rewires a copy)."""
+        object, sealed by the builder: no consumer may mutate it (Opt II
+        rewires a :class:`~repro.vfg.graph.VFGOverlay` over it)."""
         key = _graph_key(config)
         vfg = self._vfgs.get(key)
         if vfg is None:
@@ -234,7 +235,7 @@ def run_usher(prepared: PreparedModule, config: UsherConfig) -> UsherResult:
     vfg = prepared.vfg(config)
     opt2_stats: Optional[Opt2Stats] = None
     if config.opt2:
-        # Opt II re-resolves Γ on its rewired scratch graph; resolving
+        # Opt II re-resolves Γ on its rewired overlay; resolving
         # the pristine VFG first would be pure waste.
         with TRACE.span("opt2", config=config.name):
             gamma, opt2_stats = redundant_check_elimination(

@@ -93,24 +93,30 @@ class _SSABuilder:
         return defs, upward
 
     def _place_phis(self, defs: Dict[Key, Set[str]], upward: Set[Key]) -> None:
+        #: block label -> keys with a φ (or mem-φ) in that block, seeded
+        #: from the φs already there on the block's first visit
+        placed: Dict[str, Set[Key]] = {}
         for key, blocks in defs.items():
             if key not in upward and len(blocks) <= 1:
                 continue  # semi-pruned: block-local names need no φ
+            kind, payload = key
             for label in self.dt.iterated_frontier(set(blocks)):
                 block = self.function.block(label)
-                kind, payload = key
+                keys = placed.get(label)
+                if keys is None:
+                    keys = placed[label] = {
+                        ("top", p.dst.name) for p in block.phis()
+                    }
+                    keys.update(("mem", mp.loc) for mp in block.mem_phis)
+                if key in keys:
+                    continue
+                keys.add(key)
                 if kind == "top":
-                    name = payload
-                    if any(p.dst.name == name for p in block.phis()):
-                        continue
-                    phi = ins.Phi(Var(name))  # type: ignore[arg-type]
+                    phi = ins.Phi(Var(payload))  # type: ignore[arg-type]
                     phi.block = block
                     block.instrs.insert(0, phi)
                 else:
-                    loc = payload
-                    if any(mp.loc == loc for mp in block.mem_phis):
-                        continue
-                    block.mem_phis.append(ins.MemPhi(loc))
+                    block.mem_phis.append(ins.MemPhi(payload))
                 # The φ is itself a definition: iterate.
                 if label not in defs[key]:
                     defs[key].add(label)

@@ -13,15 +13,15 @@ and forgets the module.  This package keeps the analysis *resident*:
 * :func:`repro.service.server.serve` — the localhost HTTP/JSON server
   behind ``repro serve`` (``open`` / ``update`` / ``query_sites`` /
   ``explain`` / ``stats``), with sessions cached per source digest.
+
+Import ``serve`` and ``ServiceClient`` from :mod:`repro.service.server`:
+this package does not load the HTTP stack, which no analysis needs.
 """
 
 from repro.service.session import AnalysisSession, UpdateStats, plan_signature
-from repro.service.server import ServiceClient, serve
 
 __all__ = [
     "AnalysisSession",
-    "ServiceClient",
     "UpdateStats",
     "plan_signature",
-    "serve",
 ]

@@ -357,8 +357,8 @@ class AnalysisSession:
         """Definedness verdict per check site of the session's VFG,
         keyed by instruction uid (AND-folded over the site's operands).
 
-        Verdicts mirror the session's Γ exactly — under Opt II they are
-        answered on the rewired scratch graph, like a cold ``analyze``.
+        Verdicts mirror the session's Γ exactly — under Opt II that is
+        Γ of the rewired overlay over the VFG, like a cold ``analyze``.
         """
         gamma = self.gamma
         wanted = set(uids) if uids is not None else None

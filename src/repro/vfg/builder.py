@@ -122,7 +122,10 @@ class _Builder:
         self.semi_strong = semi_strong
         self.array_init = array_init
         self.vfg = VFG(address_taken)
-        self._undef_nodes: Set[Node] = set()
+        #: version-0 nodes, in first-use order: ``build()`` roots them
+        #: at F in this order, so F's out-edges (and the explanation
+        #: chains that follow them) do not move with the hash seed
+        self._undef_nodes: Dict[Node, None] = {}
         #: one node object per definition, so graph lookups hit by
         #: identity
         self._nodes: Dict[tuple, Node] = {}
@@ -150,6 +153,7 @@ class _Builder:
             self.vfg.record_def(node, None, "undef")
         if self.array_init and self.address_taken:
             self._apply_array_init()
+        self.vfg.seal()
         return self.vfg
 
     def _apply_array_init(self) -> None:
@@ -176,7 +180,7 @@ class _Builder:
         if node is None:
             node = self._nodes[key] = TopNode(*key)
             if node.version == 0:
-                self._undef_nodes.add(node)
+                self._undef_nodes[node] = None
         return node
 
     def _mem(self, func: str, loc: MemLoc, version: Optional[int]) -> Node:
@@ -187,7 +191,7 @@ class _Builder:
         if node is None:
             node = self._nodes[key] = MemNode(*key)
             if node.version == 0:
-                self._undef_nodes.add(node)
+                self._undef_nodes[node] = None
         return node
 
     def _val(self, func: str, value: Value) -> Node:

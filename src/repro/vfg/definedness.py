@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Set, Tuple
 
-from repro.vfg.graph import BOT, CALL, RET, Node, VFG
+from repro.vfg.graph import BOT, CALL, RET, GraphView, Node
 
 Context = Tuple[int, ...]
 
@@ -43,11 +43,12 @@ class Definedness:
         return len(self._bottom)
 
 
-def resolve_definedness(vfg: VFG, context_depth: int = 1) -> Definedness:
+def resolve_definedness(vfg: GraphView, context_depth: int = 1) -> Definedness:
     """Compute Γ by context-sensitive forward reachability from F.
 
-    The walk runs on node ids (:meth:`VFG.rows_out_of`); only the
-    reached nodes are materialized, into the returned Γ."""
+    The walk runs on node ids (:meth:`VFG.rows_out_of`), on a built
+    graph or Opt II's rewired view; only the reached nodes are
+    materialized, into the returned Γ."""
     if context_depth < 0:
         raise ValueError("context_depth must be >= 0")
     start = vfg.node_id(BOT)

@@ -180,7 +180,13 @@ class VFG:
     Whole-graph algorithms (Γ resolution, Opt II, the must-flow-from
     closure) traverse by id through :meth:`node_id`, :meth:`node_table`,
     :meth:`rows_into` / :meth:`rows_out_of` and :meth:`def_columns`,
-    which build no :class:`Edge` and hash no node along the way.
+    which build no :class:`Edge` and hash no node along the way.  Those
+    reads are also all a :class:`VFGOverlay` offers, so the same
+    algorithms run on Opt II's rewired view.
+
+    The builder seals every graph it returns (:meth:`seal`): the dedupe
+    index is dropped and any further edge mutation raises, because one
+    built graph is shared by every configuration that analyzes it.
     """
 
     def __init__(self, address_taken: bool = True) -> None:
@@ -192,8 +198,10 @@ class VFG:
         self._columns = array("q")
         #: the live row's words ``(src nid, dst nid, kind code,
         #: callsite)`` -> row index (dedupe + removal); int keys hash
-        #: cheaply
-        self._edge_ids: Dict[Tuple[int, int, int, int], int] = {}
+        #: cheaply.  ``None`` once sealed.
+        self._edge_ids: Optional[Dict[Tuple[int, int, int, int], int]] = {}
+        #: the live edge count, kept when :meth:`seal` drops the index
+        self._sealed_edges = 0
         #: row index -> materialized Edge (lazy)
         self._edge_cache: Dict[int, Edge] = {}
         #: node id -> in-/out-edge row indices (dead rows included),
@@ -229,11 +237,29 @@ class VFG:
         words = self._columns
         return [eid for eid in eids if words[eid * _ROW + 2] != _DEAD]
 
+    def _index(self) -> Dict[Tuple[int, int, int, int], int]:
+        """The dedupe index; raises once the graph is sealed."""
+        edge_ids = self._edge_ids
+        if edge_ids is None:
+            raise RuntimeError(
+                "the VFG is sealed: a built graph is shared and read-only"
+            )
+        return edge_ids
+
+    def seal(self) -> None:
+        """Make the graph read-only: drop the dedupe index (one tuple
+        per edge) and keep only the edge count.  Every later
+        :meth:`add_edge`, :meth:`remove_edge` or
+        :meth:`remove_edges_between` raises ``RuntimeError``."""
+        if self._edge_ids is not None:
+            self._sealed_edges = len(self._edge_ids)
+            self._edge_ids = None
+
     def _kill(self, eid: int) -> None:
         """Tombstone live row ``eid``; it stays in the adjacency lists."""
         words = self._columns
         base = eid * _ROW
-        del self._edge_ids[tuple(words[base:base + _ROW])]
+        del self._index()[tuple(words[base:base + _ROW])]
         words[base + 2] = _DEAD
         self._edge_cache.pop(eid, None)
 
@@ -245,6 +271,7 @@ class VFG:
         kind: str = INTRA,
         callsite: Optional[int] = None,
     ) -> None:
+        edge_ids = self._index()
         ids = self._node_ids
         sid = ids.get(src)
         did = ids.get(dst)
@@ -267,7 +294,7 @@ class VFG:
         )
         words = self._columns
         eid = len(words) // _ROW
-        if self._edge_ids.setdefault(key, eid) != eid:
+        if edge_ids.setdefault(key, eid) != eid:
             return  # already present
         words.extend(key)
         if fresh:
@@ -280,6 +307,7 @@ class VFG:
             self._flows[sid].append(eid)
 
     def remove_edge(self, edge: Edge) -> None:
+        edge_ids = self._index()
         sid = self._node_ids.get(edge.src)
         did = self._node_ids.get(edge.dst)
         if sid is None or did is None:
@@ -290,7 +318,7 @@ class VFG:
             _KIND_CODES[edge.kind],
             _NO_CALLSITE if edge.callsite is None else edge.callsite,
         )
-        eid = self._edge_ids.get(key)
+        eid = edge_ids.get(key)
         if eid is not None:
             self._kill(eid)
 
@@ -300,20 +328,16 @@ class VFG:
         Works directly on the edge rows — no :class:`Edge` objects are
         materialized — and returns the number removed.
         """
+        self._index()
         sid = self._node_ids.get(src)
         did = self._node_ids.get(dst)
         if sid is None or did is None:
             return 0
-        return self.remove_rows_into(did, (sid,))
-
-    def remove_rows_into(self, nid: int, srcs) -> int:
-        """Remove every live edge into node id ``nid`` whose source id
-        is in ``srcs``; returns the number removed."""
         words = self._columns
         removed = 0
-        for eid in self._deps.get(nid, ()):
+        for eid in self._deps[did]:
             base = eid * _ROW
-            if words[base + 2] != _DEAD and words[base] in srcs:
+            if words[base + 2] != _DEAD and words[base] == sid:
                 self._kill(eid)
                 removed += 1
         return removed
@@ -346,6 +370,8 @@ class VFG:
 
     @property
     def num_edges(self) -> int:
+        if self._edge_ids is None:
+            return self._sealed_edges
         return len(self._edge_ids)
 
     def record_def(self, node: Node, instr_uid: Optional[int], kind: str) -> None:
@@ -409,24 +435,118 @@ class VFG:
             columns = self._def_columns = (uids, kinds)
         return columns
 
-    # ------------------------------------------------------------------
-    def copy(self) -> "VFG":
-        """A structural copy sharing node objects (for Opt II, which
-        rewires edges on a scratch copy before re-resolving Γ).
 
-        Struct-of-arrays makes this four bulk copies — node table,
-        edge arena, two adjacency maps — instead of re-adding every
-        edge through the interning path.
-        """
-        clone = VFG(self.address_taken)
-        clone._node_ids = dict(self._node_ids)
-        clone._node_list = list(self._node_list)
-        clone._columns = array("q", self._columns)
-        clone._edge_ids = dict(self._edge_ids)
-        clone._deps = {nid: list(eids) for nid, eids in self._deps.items()}
-        clone._flows = {nid: list(eids) for nid, eids in self._flows.items()}
-        clone.check_sites = list(self.check_sites)
-        clone.def_site = dict(self.def_site)
-        clone._def_columns = self._def_columns
-        clone.stats = self.stats
-        return clone
+class VFGOverlay:
+    """Opt II's rewired view of a shared, sealed :class:`VFG`.
+
+    Algorithm 1 only removes consumer edges and adds ``⊤ → r`` edges,
+    so the rewired graph is the base minus some rows plus some fresh ⊤
+    edges.  The overlay records exactly that — the removed row ids and
+    an insertion-ordered set of the nodes given a fresh ⊤ edge — and
+    never writes the base.  It offers the base's id-level reads
+    (:meth:`node_id`, :meth:`node_table`, :meth:`def_columns`,
+    :meth:`rows_into`, :meth:`rows_out_of`) and answers them as a
+    mutable copy of the base would after the same edits, order
+    included:
+
+    - a fresh ``⊤ → r`` row reads as appended last to both ⊤'s
+      out-list and ``r``'s in-list;
+    - :meth:`redirect_to_top` is a no-op while a live ``⊤ → r`` row
+      exists, and a removed then re-added one moves to the end;
+    - the first redirect interns ⊤ (as the next id) when the base has
+      no ⊤ node.
+    """
+
+    def __init__(self, base: VFG) -> None:
+        self.base = base
+        #: ids of the base rows removed in the view
+        self._removed: Set[int] = set()
+        #: node id -> None for each fresh ``⊤ → r`` row, in row order
+        self._top_to: Dict[int, None] = {}
+        self._top = base.node_id(TOP)
+        self._table = base.node_table()
+        self._def_columns: Optional[Tuple[list, list]] = None
+
+    def node_id(self, node: Node) -> Optional[int]:
+        nid = self.base.node_id(node)
+        if nid is None and node == TOP:
+            return self._top
+        return nid
+
+    def node_table(self) -> List[Node]:
+        return self._table
+
+    @property
+    def num_nodes(self) -> int:
+        return len(self._table)
+
+    def def_columns(self) -> Tuple[List[Optional[int]], List[Optional[str]]]:
+        if self._def_columns is not None:
+            return self._def_columns
+        return self.base.def_columns()
+
+    def rows_into(self, nid: int) -> List[Tuple[int, int, str, Optional[int]]]:
+        rows = self._rows(self.base._deps.get(nid, ()))
+        if nid in self._top_to:
+            rows.append((self._top, nid, INTRA, None))
+        return rows
+
+    def rows_out_of(self, nid: int) -> List[Tuple[int, int, str, Optional[int]]]:
+        rows = self._rows(self.base._flows.get(nid, ()))
+        if nid == self._top:
+            rows.extend((nid, dst, INTRA, None) for dst in self._top_to)
+        return rows
+
+    def _rows(self, eids) -> List[Tuple[int, int, str, Optional[int]]]:
+        removed = self._removed
+        if removed:
+            eids = [eid for eid in eids if eid not in removed]
+        return self.base._rows(eids)
+
+    def edges(self) -> Iterable[Edge]:
+        """The view's edges, grouped by destination like
+        :meth:`VFG.edges`."""
+        table = self._table
+        for nid in self.base._deps:
+            for src, dst, kind, callsite in self.rows_into(nid):
+                yield Edge(table[src], table[dst], kind, callsite)
+
+    # ------------------------------------------------------------------
+    def remove_rows_into(self, nid: int, srcs) -> int:
+        """Remove every live edge into node id ``nid`` whose source id
+        is in ``srcs``; returns the number removed."""
+        words = self.base._columns
+        removed = 0
+        for eid in self.base._deps.get(nid, ()):
+            base = eid * _ROW
+            if (
+                words[base + 2] != _DEAD
+                and words[base] in srcs
+                and eid not in self._removed
+            ):
+                self._removed.add(eid)
+                removed += 1
+        if nid in self._top_to and self._top in srcs:
+            del self._top_to[nid]
+            removed += 1
+        return removed
+
+    def redirect_to_top(self, nid: int) -> None:
+        """Add ``⊤ → nid`` (intraprocedural) unless a live one exists."""
+        top = self._top
+        if top is None:
+            top = self._top = len(self._table)
+            self._table = self._table + [TOP]
+            uids, kinds = self.base.def_columns()
+            uid, kind = self.base.def_site.get(TOP, (None, None))
+            self._def_columns = (uids + [uid], kinds + [kind])
+        elif nid in self._top_to or (top, nid, INTRA, None) in self._rows(
+            self.base._deps.get(nid, ())
+        ):
+            return
+        self._top_to[nid] = None
+
+
+#: What Γ resolution, the must-flow-from closure and Opt II read: a
+#: built graph or Opt II's rewired view of one (the id-level reads).
+GraphView = Union[VFG, VFGOverlay]

@@ -45,7 +45,7 @@ from typing import List, Set, Tuple
 
 from repro.ir import instructions as ins
 from repro.ir.module import Module
-from repro.vfg.graph import TOP, Node, Root, TopNode, VFG
+from repro.vfg.graph import TOP, GraphView, Node, Root, TopNode, VFG
 
 #: Definition kinds that the closure expands through.
 _EXPAND_KINDS = frozenset({"copy", "unop", "binop", "gep"})
@@ -122,10 +122,11 @@ def compute_mfc(
 
 
 def closure_ids(
-    vfg: VFG, by_uid, sink: int, grouping: bool = False
+    vfg: GraphView, by_uid, sink: int, grouping: bool = False
 ) -> Tuple[Set[int], Set[int]]:
     """:func:`compute_mfc` on node ids: the closure's ``(nodes,
-    sources)`` id sets for the sink with id ``sink``."""
+    sources)`` id sets for the sink with id ``sink``.  Reads only the
+    id-level graph surface, so Opt II runs it on its rewired view."""
     uids, kinds = vfg.def_columns()
     if grouping and _preserves_mask(by_uid, uids[sink], kinds[sink]):
         return {sink}, {sink}

@@ -26,6 +26,9 @@ call/return pairs throughout.  The classic two-phase algorithm:
 
 The result is never less precise than any k-limited call-string
 resolution (property-tested), at the cost of the summary computation.
+Both phases run on node ids through the id-level graph reads, so Opt
+II's rewired view (:class:`repro.vfg.graph.VFGOverlay`) resolves the
+same way as a built graph.
 """
 
 from __future__ import annotations
@@ -34,11 +37,11 @@ from collections import defaultdict
 from typing import Dict, List, Set, Tuple
 
 from repro.vfg.definedness import Definedness, resolve_definedness
-from repro.vfg.graph import BOT, CALL, INTRA, RET, Edge, Node, VFG
+from repro.vfg.graph import BOT, CALL, INTRA, RET, GraphView
 
 
 def resolve_gamma(
-    vfg: VFG, resolver: str = "callstring", context_depth: int = 1
+    vfg: GraphView, resolver: str = "callstring", context_depth: int = 1
 ) -> Definedness:
     """Γ of ``vfg`` under ``resolver``: the one dispatch between the
     k-limited call-string resolution and the summary-based one
@@ -50,36 +53,44 @@ def resolve_gamma(
     raise ValueError(f"unknown resolver {resolver!r}")
 
 
-def resolve_definedness_summary(vfg: VFG) -> Definedness:
+def resolve_definedness_summary(vfg: GraphView) -> Definedness:
     """Compute Γ by summary-based (unbounded-context) reachability."""
+    start = vfg.node_id(BOT)
+    if start is None:
+        return Definedness(set(), context_depth=-1)
     summaries = compute_summaries(vfg)
-    bottom = _two_phase_reachability(vfg, summaries)
-    bottom.discard(BOT)
+    reached = _two_phase_reachability(vfg, summaries, start)
+    reached.discard(start)
+    table = vfg.node_table()
     # context_depth = -1 marks the unbounded (summary) resolution.
-    return Definedness(bottom, context_depth=-1)
+    return Definedness({table[nid] for nid in reached}, context_depth=-1)
 
 
-def compute_summaries(vfg: VFG) -> Dict[Node, Set[Node]]:
-    """Summary edges: caller node → caller node, skipping a balanced
-    call-through (the tabulation of [23] with a single data fact)."""
-    #: callee entry node -> call edges targeting it
-    entry_calls: Dict[Node, List[Edge]] = defaultdict(list)
-    for edge in vfg.edges():
-        if edge.kind == CALL:
-            entry_calls[edge.dst].append(edge)
+def compute_summaries(vfg: GraphView) -> Dict[int, Set[int]]:
+    """Summary edges by node id: caller node → caller node, skipping a
+    balanced call-through (the tabulation of [23] with a single data
+    fact)."""
+    rows_out_of = vfg.rows_out_of
+    #: callee entry id -> (caller source id, call site) of each call
+    #: edge targeting it
+    entry_calls: Dict[int, List[Tuple[int, int]]] = defaultdict(list)
+    for nid in range(vfg.num_nodes):
+        for src, dst, kind, callsite in rows_out_of(nid):
+            if kind == CALL:
+                entry_calls[dst].append((src, callsite))
 
     #: path edges: entry -> same-level-reachable nodes
-    path: Dict[Node, Set[Node]] = {e: {e} for e in entry_calls}
+    path: Dict[int, Set[int]] = {e: {e} for e in entry_calls}
     #: summary edges discovered so far: src -> targets
-    summaries: Dict[Node, Set[Node]] = defaultdict(set)
-    work: List[Tuple[Node, Node]] = [(e, e) for e in entry_calls]
+    summaries: Dict[int, Set[int]] = defaultdict(set)
+    work: List[Tuple[int, int]] = [(e, e) for e in entry_calls]
 
-    def add_path(entry: Node, node: Node) -> None:
+    def add_path(entry: int, node: int) -> None:
         if node not in path[entry]:
             path[entry].add(node)
             work.append((entry, node))
 
-    def add_summary(src: Node, dst: Node) -> None:
+    def add_summary(src: int, dst: int) -> None:
         if dst in summaries[src]:
             return
         summaries[src].add(dst)
@@ -91,21 +102,18 @@ def compute_summaries(vfg: VFG) -> Dict[Node, Set[Node]]:
 
     while work:
         entry, node = work.pop()
-        for edge in vfg.flows_of(node):
-            if edge.kind == INTRA:
-                add_path(entry, edge.dst)
-            elif edge.kind == CALL:
-                # Descend: the callee's entry gets its own tabulation;
-                # its summaries will lift the flow back here.
-                if edge.dst in path:
-                    pass  # seeded at initialization
-            elif edge.kind == RET:
-                # A same-level path of `entry` ended at a return to call
-                # site edge.callsite: every matching call edge into
-                # `entry` yields a summary in the caller.
-                for call_edge in entry_calls.get(entry, ()):
-                    if call_edge.callsite == edge.callsite:
-                        add_summary(call_edge.src, edge.dst)
+        for _, dst, kind, callsite in rows_out_of(node):
+            if kind == INTRA:
+                add_path(entry, dst)
+            elif kind == RET:
+                # A same-level path of `entry` ended at a return to
+                # call site `callsite`: every matching call edge into
+                # `entry` yields a summary in the caller.  (A call edge
+                # descends: the callee's entry has its own tabulation,
+                # whose summaries lift the flow back here.)
+                for caller, call_site in entry_calls.get(entry, ()):
+                    if call_site == callsite:
+                        add_summary(caller, dst)
         # Summary edges already known from `node` extend this context.
         for target in summaries.get(node, ()):
             add_path(entry, target)
@@ -114,33 +122,34 @@ def compute_summaries(vfg: VFG) -> Dict[Node, Set[Node]]:
 
 
 def _two_phase_reachability(
-    vfg: VFG, summaries: Dict[Node, Set[Node]]
-) -> Set[Node]:
-    #: (node, phase): phase 0 = unmatched closes allowed,
+    vfg: GraphView, summaries: Dict[int, Set[int]], start: int
+) -> Set[int]:
+    #: (node id, phase): phase 0 = unmatched closes allowed,
     #: phase 1 = unmatched opens allowed.
-    seen: Set[Tuple[Node, int]] = {(BOT, 0)}
-    work: List[Tuple[Node, int]] = [(BOT, 0)]
-    bottom: Set[Node] = set()
+    seen: Set[Tuple[int, int]] = {(start, 0)}
+    work: List[Tuple[int, int]] = [(start, 0)]
+    reached: Set[int] = set()
 
-    def push(node: Node, phase: int) -> None:
-        state = (node, phase)
+    def push(nid: int, phase: int) -> None:
+        state = (nid, phase)
         if state not in seen:
             seen.add(state)
             work.append(state)
 
+    rows_out_of = vfg.rows_out_of
     while work:
-        node, phase = work.pop()
-        bottom.add(node)
-        for target in summaries.get(node, ()):
+        nid, phase = work.pop()
+        reached.add(nid)
+        for target in summaries.get(nid, ()):
             push(target, phase)
-        for edge in vfg.flows_of(node):
-            if edge.kind == INTRA:
-                push(edge.dst, phase)
-            elif edge.kind == RET:
+        for _, dst, kind, _ in rows_out_of(nid):
+            if kind == INTRA:
+                push(dst, phase)
+            elif kind == RET:
                 if phase == 0:
-                    push(edge.dst, 0)
+                    push(dst, 0)
                 # In phase 1 a raw return would close a call it did not
                 # open: unrealizable.
-            elif edge.kind == CALL:
-                push(edge.dst, 1)
-    return bottom
+            elif kind == CALL:
+                push(dst, 1)
+    return reached

@@ -18,8 +18,8 @@ from pathlib import Path
 import pytest
 
 from repro.options import AnalysisOptions
-from repro.service import AnalysisSession, ServiceClient
-from repro.service.server import ServiceError
+from repro.service import AnalysisSession
+from repro.service.server import ServiceClient, ServiceError
 
 REPO = Path(__file__).resolve().parents[2]
 

@@ -16,8 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.service import ServiceClient
-from repro.service.server import ServiceError
+from repro.service.server import ServiceClient, ServiceError
 
 REPO = Path(__file__).resolve().parents[2]
 

@@ -11,6 +11,8 @@ from repro.vfg import (
     compute_mfc,
     resolve_definedness,
 )
+from repro.vfg.graph import BOT, TOP, VFGOverlay
+from repro.vfg.tabulation import resolve_gamma
 from repro.workloads import GeneratorParams, generate_program
 
 from tests.helpers import ANALYSIS_PARAMS as _PARAMS
@@ -46,13 +48,23 @@ def test_context_depth_monotonicity(seed):
 
 @given(seed=st.integers(min_value=0, max_value=5_000))
 @settings(**_SETTINGS)
-def test_vfg_copy_is_structurally_identical(seed):
+def test_empty_overlay_reads_exactly_like_its_base(seed):
+    """Opt II's view before any redirect is the built graph itself."""
     _, vfg = vfg_of(seed)
-    clone = vfg.copy()
-    originals = {(e.src, e.dst, e.kind, e.callsite) for e in vfg.edges()}
-    copies = {(e.src, e.dst, e.kind, e.callsite) for e in clone.edges()}
-    assert originals == copies
-    assert clone.num_nodes == vfg.num_nodes
+    overlay = VFGOverlay(vfg)
+    assert overlay.node_table() == vfg.node_table()
+    assert overlay.def_columns() == vfg.def_columns()
+    assert list(overlay.edges()) == list(vfg.edges())
+    for nid in range(vfg.num_nodes):
+        assert overlay.rows_into(nid) == vfg.rows_into(nid)
+        assert overlay.rows_out_of(nid) == vfg.rows_out_of(nid)
+    for node in (TOP, BOT, *vfg.nodes()):
+        assert overlay.node_id(node) == vfg.node_id(node)
+    for resolver in ("callstring", "summary"):
+        assert (
+            resolve_gamma(overlay, resolver).bottom_nodes
+            == resolve_gamma(vfg, resolver).bottom_nodes
+        )
 
 
 @given(seed=st.integers(min_value=0, max_value=5_000))

@@ -3,8 +3,9 @@
 ``PreparedModule`` memoizes :func:`build_vfg` by the arguments a config
 sets, so ``usher_tl_at``, ``usher_opt1`` and ``usher`` analyze one
 graph object.  That is only sound while no consumer mutates it: Opt I,
-guided instrumentation and Γ resolution read it, and Opt II rewires a
-copy.  These tests pin both halves.
+guided instrumentation and Γ resolution read it, and Opt II rewires an
+overlay over it.  The builder seals each graph, so a mutation raises;
+these tests pin the sharing, the seal and the untouched contents.
 """
 
 import pytest
@@ -56,6 +57,25 @@ def test_default_analyze_builds_two_graphs(name, source, monkeypatch):
     assert results["usher_opt1"].vfg is results["usher"].vfg
     assert results["usher_tl"].vfg is not results["usher"].vfg
     assert results["usher_tl_at"].gamma is results["usher_opt1"].gamma
+
+
+@pytest.mark.parametrize("name,source", list(sources()))
+def test_every_built_graph_refuses_add_edge(name, source):
+    analysis = analyze(
+        source=source, name=name, configs=("usher_tl", "usher", "usher_ext")
+    )
+    prepared = analysis.prepared
+    graphs = {id(r.vfg): r.vfg for r in analysis.results.values()}
+    for config in (UsherConfig(semi_strong=False), UsherConfig(array_init=True)):
+        graph = prepared.vfg(config)
+        graphs[id(graph)] = graph
+    assert len(graphs) == 4  # TL, TL+AT, weak-only stores, array-init cuts
+    for vfg in graphs.values():
+        edges = vfg.num_edges
+        node = next(iter(vfg.nodes()))
+        with pytest.raises(RuntimeError, match="sealed"):
+            vfg.add_edge(node, node)
+        assert vfg.num_edges == edges
 
 
 @pytest.mark.parametrize("seed", [3, 11])

@@ -1,17 +1,27 @@
-"""Tombstoned edge removal in the VFG's struct-of-arrays storage.
+"""Tombstoned edge removal, sealing and Opt II's overlay over the VFG's
+struct-of-arrays storage.
 
 ``remove_edge`` / ``remove_edges_between`` mark the row dead and leave
 it in both adjacency lists.  Every observable must still match a graph
 built without the removed edges, order included: ``deps_of``,
-``flows_of``, ``edges()``, ``num_edges``, the id-level rows and
-``copy()``.  Re-adding a removed edge must behave like adding it anew.
+``flows_of``, ``edges()``, ``num_edges`` and the id-level rows.
+Re-adding a removed edge must behave like adding it anew.
+
+A :class:`VFGOverlay` over a sealed graph must read exactly like that
+graph with the same rows removed and the same ``⊤ → r`` edges added
+through the mutating API (the rewiring Opt II once did on a copy),
+while the sealed base stays untouched.
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.vfg.graph import BOT, CALL, INTRA, RET, TOP, Edge, TopNode, VFG
+from repro.vfg.graph import (
+    BOT, CALL, INTRA, RET, TOP, Edge, TopNode, VFG, VFGOverlay,
+)
+from repro.vfg.tabulation import resolve_gamma
 
 NODES = [TOP, BOT] + [TopNode("f", f"v{i}", 1) for i in range(6)]
 KINDS = ((INTRA, None), (CALL, 11), (RET, 11), (CALL, 12))
@@ -89,13 +99,6 @@ def test_removal_matches_a_graph_built_without_the_edges(case):
     remove(vfg, removed, between)
     expected = build(survivors(edges, removed, between))
     assert observe(vfg) == observe(expected)
-    assert observe(vfg.copy()) == observe(expected)
-    # Removing from a copy leaves the graph it was copied from intact.
-    base = build(edges)
-    scratch = base.copy()
-    remove(scratch, removed, between)
-    assert observe(scratch) == observe(expected)
-    assert observe(base) == observe(build(edges))
 
 
 @given(scenario)
@@ -129,3 +132,126 @@ def test_removing_a_missing_edge_is_a_no_op():
     vfg.remove_edge(Edge(TopNode("g", "absent", 1), NODES[2]))
     assert vfg.remove_edges_between(NODES[7], NODES[2]) == 0
     assert observe(vfg) == before
+
+
+def test_a_sealed_graph_refuses_mutation():
+    vfg = build([(NODES[2], NODES[3], INTRA, None)])
+    before = observe(vfg)
+    vfg.seal()
+    assert observe(vfg) == before  # num_edges survives the dropped index
+    with pytest.raises(RuntimeError, match="sealed"):
+        vfg.add_edge(NODES[3], NODES[4])
+    with pytest.raises(RuntimeError, match="sealed"):
+        vfg.remove_edge(Edge(NODES[2], NODES[3]))
+    with pytest.raises(RuntimeError, match="sealed"):
+        vfg.remove_edges_between(NODES[2], NODES[3])
+    assert observe(vfg) == before
+
+
+# ----------------------------------------------------------------------
+# VFGOverlay
+# ----------------------------------------------------------------------
+def view(graph) -> dict:
+    """Everything order-sensitive the id-level reads return."""
+    ids = range(len(graph.node_table()))
+    return {
+        "nodes": list(graph.node_table()),
+        "edges": list(graph.edges()),
+        "rows_into": [graph.rows_into(i) for i in ids],
+        "rows_out_of": [graph.rows_out_of(i) for i in ids],
+        "def_columns": graph.def_columns(),
+        "top": graph.node_id(TOP),
+    }
+
+
+#: One rewiring step: remove the rows into a node from a set of source
+#: indices (⊤ included), or redirect a node to ⊤.
+rewire_op = st.one_of(
+    st.tuples(
+        st.just("remove"),
+        st.integers(1, len(NODES) - 1),
+        st.frozensets(st.integers(0, len(NODES) - 1), max_size=4),
+    ),
+    st.tuples(st.just("redirect"), st.integers(1, len(NODES) - 1)),
+)
+
+
+def rewire(edges, ops):
+    """``(sealed base, overlay, mutated copy, removal counts)`` after
+    ``ops``: the overlay takes them through its own API, the copy
+    through ``remove_edges_between`` / ``add_edge(TOP, r)``."""
+    base = build(edges)
+    base.seal()
+    overlay = VFGOverlay(base)
+    copy = build(edges)
+    counts = []
+    for op in ops:
+        if op[0] == "remove":
+            dst, srcs = NODES[op[1]], [NODES[i] for i in sorted(op[2])]
+            got = overlay.remove_rows_into(
+                base.node_id(dst), {base.node_id(n) for n in srcs}
+            )
+            want = sum(copy.remove_edges_between(n, dst) for n in srcs)
+            counts.append((got, want))
+        else:
+            overlay.redirect_to_top(base.node_id(NODES[op[1]]))
+            copy.add_edge(TOP, NODES[op[1]])
+    return base, overlay, copy, counts
+
+
+@given(st.lists(edge_spec, max_size=20), st.lists(rewire_op, max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_overlay_reads_like_the_rewired_graph(specs, ops):
+    edges = [edge(s) for s in specs]
+    base, overlay, copy, counts = rewire(edges, ops)
+    assert view(overlay) == view(copy)
+    assert all(got == want for got, want in counts)
+    for resolver in ("callstring", "summary"):
+        assert (
+            resolve_gamma(overlay, resolver).bottom_nodes
+            == resolve_gamma(copy, resolver).bottom_nodes
+        )
+    # The base is read, never written.
+    assert observe(base) == observe(build(edges))
+
+
+def test_redirect_is_a_no_op_while_a_live_top_edge_exists():
+    a, b = NODES[2], NODES[3]
+    base = build([(a, b, INTRA, None)])
+    base.seal()
+    overlay = VFGOverlay(base)
+    b_id, top = base.node_id(b), base.node_id(TOP)
+    overlay.redirect_to_top(b_id)  # the spine's ⊤ → b is live
+    assert view(overlay) == view(base)
+    # Removed, the spine row is replaced by a fresh one appended last.
+    assert overlay.remove_rows_into(b_id, {top}) == 1
+    overlay.redirect_to_top(b_id)
+    overlay.redirect_to_top(b_id)
+    assert overlay.rows_into(b_id)[-1] == (top, b_id, INTRA, None)
+    assert overlay.rows_out_of(top)[-1] == (top, b_id, INTRA, None)
+    assert len(overlay.rows_into(b_id)) == len(base.rows_into(b_id))
+
+
+def test_first_redirect_interns_top_when_the_base_has_none():
+    a, b = NODES[2], NODES[3]
+    edges = [(BOT, a, INTRA, None), (a, b, INTRA, None)]
+    base = VFG()
+    for e in edges:
+        base.add_edge(*e)
+    base.record_def(b, 7, "copy")
+    copy = VFG()
+    for e in edges:
+        copy.add_edge(*e)
+    copy.record_def(b, 7, "copy")
+    base.seal()
+    overlay = VFGOverlay(base)
+    assert overlay.node_id(TOP) is None
+    b_id = base.node_id(b)
+    assert overlay.remove_rows_into(b_id, {base.node_id(a)}) == 1
+    overlay.redirect_to_top(b_id)
+    copy.remove_edges_between(a, b)
+    copy.add_edge(TOP, b)
+    assert overlay.node_id(TOP) == base.num_nodes == 3
+    assert view(overlay) == view(copy)
+    assert resolve_gamma(overlay).bottom_nodes == {a}
+    assert base.node_id(TOP) is None and len(base.node_table()) == 3

@@ -9,9 +9,10 @@ the node and edge counts and three digests:
 - ``def_site``: each node's defining uid and kind;
 - ``check_sites``: the check sites, in order.
 
-Node ids depend on the order of a set iteration in the builder, which
-follows ``PYTHONHASHSEED``, so the digests are keyed by the nodes'
-printed names, sorted, never by id.  The inliner tags the names it
+The digests are keyed by the nodes' printed names, sorted, never by
+id, so they pin each node's edges and not the order nodes are interned
+in (which no longer moves with ``PYTHONHASHSEED``: the builder roots
+F's edges in first-use order, see ``test_hash_seed_order.py``).  The inliner tags the names it
 creates from a process-wide counter (``x.inl7``), so the tags are
 renumbered by first appearance in the module's text.  The modules are
 the ones ``test_opt2_pins.py`` pins.  Any change to VFG construction or storage
