@@ -151,22 +151,30 @@ def analyze_pointers(
     solver_class = ReferenceSolver if use_reference else DeltaSolver
     stats = SolverStats(solver=solver_class.kind)
 
-    with TRACE.span("pointer_analysis", solver=stats.solver):
-        base = solver_class(module, wrappers=frozenset(), stats=stats)
-        base.solve()
-        if not heap_cloning:
-            return base.result()
-        with stats.phase("wrappers"):
-            wrappers = base.detect_wrappers()
-        if not wrappers:
-            return base.result()
-        refined = solver_class(
-            module, wrappers=frozenset(wrappers), stats=stats
-        )
-        refined.solve()
-        result = refined.result()
-        result.wrappers = set(wrappers)
-        return result
+    with TRACE.span("pointer_analysis", solver=stats.solver) as span:
+        result = _solve(solver_class, module, heap_cloning, stats)
+        span.tag(pops=stats.pops, facts_propagated=stats.facts_propagated)
+    return result
+
+
+def _solve(
+    solver_class, module: Module, heap_cloning: bool, stats: SolverStats
+) -> PointerResult:
+    """:func:`analyze_pointers`' body: one solve, then, with heap
+    cloning, a second one with the detected wrappers' heap cloned."""
+    base = solver_class(module, wrappers=frozenset(), stats=stats)
+    base.solve()
+    if not heap_cloning:
+        return base.result()
+    with stats.phase("wrappers"):
+        wrappers = base.detect_wrappers()
+    if not wrappers:
+        return base.result()
+    refined = solver_class(module, wrappers=frozenset(wrappers), stats=stats)
+    refined.solve()
+    result = refined.result()
+    result.wrappers = set(wrappers)
+    return result
 
 
 class _SolverBase:
@@ -504,6 +512,12 @@ class ReferenceSolver(_SolverBase):
     of its copy / gep / load / store / icall edges; copy cycles are
     re-iterated until fixpoint instead of being collapsed.  Kept
     intentionally simple — its whole value is being obviously correct.
+
+    Points-to sets and copy-edge targets are insertion-ordered dicts
+    (keys only), not sets: every loop walks them in the order facts
+    and edges arrived, so the pops and ``facts_propagated`` counters do
+    not move with ``PYTHONHASHSEED``.  :meth:`_merge_into` is one
+    ``dict.update``: the size change counts the new facts.
     """
 
     kind = "reference"
@@ -514,8 +528,8 @@ class ReferenceSolver(_SolverBase):
         wrappers: FrozenSet[str],
         stats: Optional[SolverStats] = None,
     ) -> None:
-        self.pts: Dict[Node, Set[MemLoc]] = {}
-        self.copy_edges: Dict[Node, Set[Node]] = {}
+        self.pts: Dict[Node, Dict[MemLoc, None]] = {}
+        self.copy_edges: Dict[Node, Dict[Node, None]] = {}
         self.loads: Dict[Node, List[Node]] = {}
         self.stores: Dict[Node, List[Node]] = {}
         self.geps: Dict[Node, List[Tuple[Node, Optional[int]]]] = {}
@@ -527,8 +541,8 @@ class ReferenceSolver(_SolverBase):
         super().__init__(module, wrappers, stats)
 
     # -- constraint store ----------------------------------------------
-    def _points(self, node: Node) -> Set[MemLoc]:
-        return self.pts.setdefault(node, set())
+    def _points(self, node: Node) -> Dict[MemLoc, None]:
+        return self.pts.setdefault(node, {})
 
     def _touch(self, node: Node) -> None:
         if node not in self.dirty:
@@ -538,13 +552,13 @@ class ReferenceSolver(_SolverBase):
 
     def _add_pts(self, node: Node, loc: MemLoc) -> None:
         if loc not in self._points(node):
-            self.pts[node].add(loc)
+            self.pts[node][loc] = None
             self._touch(node)
 
     def _add_copy(self, src: Node, dst: Node) -> None:
-        edges = self.copy_edges.setdefault(src, set())
+        edges = self.copy_edges.setdefault(src, {})
         if dst not in edges:
-            edges.add(dst)
+            edges[dst] = None
             self.stats.copy_edges += 1
             if self.pts.get(src):
                 self._touch(src)
@@ -586,7 +600,7 @@ class ReferenceSolver(_SolverBase):
         while self.worklist:
             node = self.worklist.pop()
             self.dirty.discard(node)
-            current = frozenset(self._points(node))
+            current = dict(self._points(node))
             if not current:
                 continue
             self.stats.pops += 1
@@ -596,7 +610,7 @@ class ReferenceSolver(_SolverBase):
             # Gep: shifted targets.
             for dst, offset in self.geps.get(node, ()):
                 shifted = {
-                    target
+                    target: None
                     for loc in current
                     if not loc.obj.is_function
                     for target in loc.shifted(offset)
@@ -624,24 +638,22 @@ class ReferenceSolver(_SolverBase):
                     ):
                         self._bind_indirect(loc.obj.func, call_uid, args, dst)
 
-    def _merge_into(
-        self, dst: Node, locs: "frozenset[MemLoc] | set[MemLoc]"
-    ) -> None:
+    def _merge_into(self, dst: Node, locs: Dict[MemLoc, None]) -> None:
         if not locs:
             return
         self.stats.facts_propagated += len(locs)
         target = self._points(dst)
-        if not locs <= target:
-            added = len(locs - target)
-            target.update(locs)
-            self.stats.facts_added += added
+        before = len(target)
+        target.update(locs)  # new facts join at the end, in locs order
+        if len(target) > before:
+            self.stats.facts_added += len(target) - before
             self._touch(dst)
 
     # -- results -------------------------------------------------------
-    def _node_pts(self, node: Node) -> Set[MemLoc]:
-        return self.pts.get(node, set())
+    def _node_pts(self, node: Node) -> Dict[MemLoc, None]:
+        return self.pts.get(node, {})
 
-    def _final_pts(self) -> Dict[Node, Set[MemLoc]]:
+    def _final_pts(self) -> Dict[Node, Dict[MemLoc, None]]:
         return self.pts
 
 

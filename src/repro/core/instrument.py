@@ -118,6 +118,7 @@ class _Generator:
         self.stats = GuidedStats()
         self.by_uid = module.instr_by_uid()
         self._node_table = vfg.node_table()
+        self._words = vfg.columns()
         self._demanded: Set[Node] = set()
         self._work: List[Node] = []
 
@@ -156,8 +157,9 @@ class _Generator:
         table = self._node_table
         demanded = self._demanded
         work = self._work
-        for src_id, _, _, _ in self.vfg.rows_into(nid):
-            src = table[src_id]
+        words = self._words
+        for row in self.vfg.row_ids_into(nid):
+            src = table[words[row]]
             if mem_only and isinstance(src, TopNode):
                 continue
             if isinstance(src, Root) or src in demanded:

@@ -78,6 +78,7 @@ def redundant_check_elimination(
     # sets are int sets, def sites are read from id-indexed columns.
     table = rewired.node_table()
     uids, kinds = rewired.def_columns()
+    words = rewired.columns()
     top = rewired.node_id(TOP)
     roots = {nid for nid in (top, rewired.node_id(BOT)) if nid is not None}
     redirected: Set[int] = set()
@@ -125,7 +126,8 @@ def redundant_check_elimination(
             if top_consumers is not None and nid == top:
                 consumers.update(top_consumers.get(check_func, set()) - closure)
                 continue
-            for _, dst, _, _ in rewired.rows_out_of(nid):
+            for row in rewired.row_ids_out_of(nid):
+                dst = words[row + 1]
                 if dst not in closure and dst not in roots:
                     consumers.add(dst)
 
@@ -214,7 +216,9 @@ def _top_consumers_by_function(vfg: GraphView, by_uid) -> Dict[str, Set[int]]:
         return buckets
     table = vfg.node_table()
     uids, _ = vfg.def_columns()
-    for _, dst, _, _ in vfg.rows_out_of(top):
+    words = vfg.columns()
+    for row in vfg.row_ids_out_of(top):
+        dst = words[row + 1]
         instr = by_uid.get(uids[dst]) if uids[dst] is not None else None
         if (
             instr is not None
@@ -249,9 +253,11 @@ def _feeds_bitwise(vfg: GraphView, by_uid) -> Set[int]:
         instr = by_uid.get(uids[nid])
         if isinstance(instr, ins.BinOp) and instr.op in _BITWISE_OPS:
             barred.add(nid)
+    words = vfg.columns()
     work = list(barred)
     while work:
-        for src, _, _, _ in vfg.rows_into(work.pop()):
+        for row in vfg.row_ids_into(work.pop()):
+            src = words[row]
             if src not in barred and not isinstance(table[src], Root):
                 barred.add(src)
                 work.append(src)

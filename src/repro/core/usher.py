@@ -143,7 +143,7 @@ class PreparedModule:
         key = _graph_key(config)
         vfg = self._vfgs.get(key)
         if vfg is None:
-            with TRACE.span("vfg.build", config=config.name):
+            with TRACE.span("vfg.build", config=config.name) as span:
                 vfg = build_vfg(
                     self.module,
                     self.pointers,
@@ -153,6 +153,7 @@ class PreparedModule:
                     semi_strong=config.semi_strong,
                     array_init=config.array_init,
                 )
+                span.tag(nodes=vfg.num_nodes, edges=vfg.num_edges)
             self._vfgs[key] = vfg
         return vfg
 
@@ -250,7 +251,9 @@ def run_usher(prepared: PreparedModule, config: UsherConfig) -> UsherResult:
         with TRACE.span("gamma.resolve", config=config.name,
                         resolver=config.resolver):
             gamma = prepared.gamma(config)
-    with TRACE.span("instrument", config=config.name, opt1=config.opt1):
+    with TRACE.span(
+        "instrument", config=config.name, opt1=config.opt1
+    ) as span:
         plan, guided_stats = build_guided_plan(
             prepared.module,
             vfg,
@@ -259,6 +262,11 @@ def run_usher(prepared: PreparedModule, config: UsherConfig) -> UsherResult:
             opt1=config.opt1,
             name=config.name,
         )
+        if TRACE.enabled:  # counting walks the plan
+            span.tag(
+                checks=plan.count_checks(),
+                propagations=plan.count_propagations(),
+            )
     return UsherResult(
         config=config,
         plan=plan,

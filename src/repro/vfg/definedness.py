@@ -14,7 +14,9 @@ from __future__ import annotations
 
 from typing import List, Optional, Set, Tuple
 
-from repro.vfg.graph import BOT, CALL, RET, GraphView, Node
+from repro.vfg.graph import (
+    BOT, CALL, KIND_OF_CODE, NO_CALLSITE, RET, GraphView, Node,
+)
 
 Context = Tuple[int, ...]
 
@@ -46,9 +48,9 @@ class Definedness:
 def resolve_definedness(vfg: GraphView, context_depth: int = 1) -> Definedness:
     """Compute Γ by context-sensitive forward reachability from F.
 
-    The walk runs on node ids (:meth:`VFG.rows_out_of`), on a built
-    graph or Opt II's rewired view; only the reached nodes are
-    materialized, into the returned Γ."""
+    The walk runs on node ids and rows (:meth:`VFG.row_ids_out_of`),
+    on a built graph or Opt II's rewired view; only the reached nodes
+    are materialized, into the returned Γ."""
     if context_depth < 0:
         raise ValueError("context_depth must be >= 0")
     start = vfg.node_id(BOT)
@@ -58,15 +60,26 @@ def resolve_definedness(vfg: GraphView, context_depth: int = 1) -> Definedness:
     reached: Set[int] = set()
     seen: Set[Tuple[int, Context]] = {(start, empty)}
     work: List[Tuple[int, Context]] = [(start, empty)]
-    rows_out_of = vfg.rows_out_of
+    words = vfg.columns()
+    row_ids_out_of = vfg.row_ids_out_of
     while work:
         nid, ctx = work.pop()
         reached.add(nid)
-        for _, dst, kind, callsite in rows_out_of(nid):
-            next_ctx = step_context(ctx, kind, callsite, context_depth)
-            if next_ctx is None:
-                continue  # mismatched return: unrealizable path
-            state = (dst, next_ctx)
+        for row in row_ids_out_of(nid):
+            code = words[row + 2]
+            if code:
+                callsite = words[row + 3]
+                next_ctx = step_context(
+                    ctx,
+                    KIND_OF_CODE[code],
+                    None if callsite == NO_CALLSITE else callsite,
+                    context_depth,
+                )
+                if next_ctx is None:
+                    continue  # mismatched return: unrealizable path
+                state = (words[row + 1], next_ctx)
+            else:
+                state = (words[row + 1], ctx)  # intraprocedural: no-op
             if state not in seen:
                 seen.add(state)
                 work.append(state)

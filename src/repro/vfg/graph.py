@@ -14,7 +14,10 @@ context-sensitively (§3.3).
 from __future__ import annotations
 
 from array import array
+from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import accumulate, repeat
+from operator import sub
 from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.analysis.memobjects import MemLoc
@@ -43,6 +46,11 @@ class TopNode:
     """The definition of top-level SSA variable ``name.version`` in
     ``func``."""
 
+    # Slotted by hand (``dataclass(slots=True)`` needs Python 3.10): a
+    # graph holds one node object per definition, and a ``__dict__``
+    # would be most of each one's size.
+    __slots__ = ("func", "name", "version", "_hash")
+
     func: str
     name: str
     version: int
@@ -69,6 +77,8 @@ class TopNode:
 class MemNode:
     """The definition of version ``version`` of address-taken location
     ``loc`` within ``func``'s memory SSA."""
+
+    __slots__ = ("func", "loc", "version", "_hash")  # see TopNode
 
     func: str
     loc: MemLoc
@@ -147,15 +157,118 @@ class VFGStats:
     array_init_cuts: int = 0
 
 
-#: Edge-kind codes in the flat edge columns.
-_KIND_CODES = {INTRA: 0, CALL: 1, RET: 2}
-_KIND_FROM_CODE = (INTRA, CALL, RET)
-#: ``callsite`` column value for intraprocedural edges.
-_NO_CALLSITE = -1
-#: ``kind`` column value of a tombstoned (removed) edge row.
-_DEAD = -1
 #: Words per edge row: ``[src nid, dst nid, kind code, callsite]``.
+#: A row is named by the index of its first word in the flat columns
+#: (:meth:`VFG.columns`); readers decode ``words[row + 0..3]``.
 _ROW = 4
+#: Kind codes (a row's third word) and the kind each stands for.
+INTRA_CODE, CALL_CODE, RET_CODE = 0, 1, 2
+KIND_OF_CODE = (INTRA, CALL, RET)
+_KIND_CODES = {INTRA: INTRA_CODE, CALL: CALL_CODE, RET: RET_CODE}
+#: ``callsite`` word of a row without a call site (intraprocedural).
+NO_CALLSITE = -1
+#: Kind code of a tombstoned (removed) row; never in a CSR index.
+_DEAD = -1
+#: Bits per node id in a packed dedupe key (:func:`_edge_key`).
+_ID_BITS = 32
+
+#: A decoded edge row: ``(src id, dst id, kind, callsite)``.
+Row = Tuple[int, int, str, Optional[int]]
+
+#: ``(in offsets, in rows, out offsets, out rows)``: both directions of
+#: a graph's live rows in compressed sparse row (CSR) form; node ``n``'s
+#: rows in a direction are ``rows[offsets[n]:offsets[n + 1]]``.
+Adjacency = Tuple[array, array, array, array]
+
+
+def _edge_key(sid: int, did: int, code: int, callsite: int) -> int:
+    """An edge row's words packed into one int, the dedupe index's key.
+    Node ids take ``_ID_BITS`` each; the kind code and the callsite sit
+    above them, so an intraprocedural row's key is ``did << _ID_BITS |
+    sid`` (:meth:`VFG.add_edge` inlines that case)."""
+    return (
+        ((callsite + 1) << 2 | code) << (2 * _ID_BITS)
+        | did << _ID_BITS
+        | sid
+    )
+
+
+def _csr(
+    words: array, slots: Iterable[int], field: int, num_nodes: int
+) -> Tuple[array, array]:
+    """``(offsets, rows)``: the rows whose word ``field`` (a node id)
+    sits at index ``slots`` of ``words``, grouped by that node.  A
+    counting pass gives the offsets; a stable sort of the slots by node
+    id (C-level, about half the cost of a Python placement loop) puts
+    each node's rows in row order."""
+    counts = array("q", [0]) * (num_nodes + 1)
+    for slot in slots:
+        counts[words[slot] + 1] += 1
+    rows = sorted(slots, key=words.__getitem__)
+    return (
+        array("q", accumulate(counts)),
+        array("q", map(sub, rows, repeat(field)) if field else rows),
+    )
+
+
+def _rows(words: array, rows) -> List[Row]:
+    """``rows`` of the flat ``words`` as ``(src id, dst id, kind,
+    callsite)`` tuples."""
+    out = []
+    for row in rows:
+        callsite = words[row + 3]
+        out.append((
+            words[row],
+            words[row + 1],
+            KIND_OF_CODE[words[row + 2]],
+            None if callsite == NO_CALLSITE else callsite,
+        ))
+    return out
+
+
+class DefSites(Mapping):
+    """A sealed graph's :attr:`VFG.def_site`: node -> ``(defining
+    instruction uid, def kind tag)``, read from the id-indexed columns
+    :meth:`VFG.def_columns` returns, plus a side dict for the defined
+    nodes no edge touches.  Read-only."""
+
+    __slots__ = ("_ids", "_table", "_uids", "_kinds", "_lone", "_size")
+
+    def __init__(self, ids, table, uids, kinds, lone, size: int) -> None:
+        self._ids = ids
+        self._table = table
+        self._uids = uids
+        self._kinds = kinds
+        self._lone = lone
+        self._size = size
+
+    def get(self, node, default=None):
+        nid = self._ids.get(node)
+        if nid is None:
+            return self._lone.get(node, default)
+        kind = self._kinds[nid]
+        if kind is None:
+            return default
+        return (self._uids[nid], kind)
+
+    def __getitem__(self, node):
+        site = self.get(node)
+        if site is None:
+            raise KeyError(node)
+        return site
+
+    def __contains__(self, node) -> bool:
+        return self.get(node) is not None
+
+    def __iter__(self):
+        table = self._table
+        for nid, kind in enumerate(self._kinds):
+            if kind is not None:
+                yield table[nid]
+        yield from self._lone
+
+    def __len__(self) -> int:
+        return self._size
 
 
 class VFG:
@@ -163,30 +276,40 @@ class VFG:
 
     Nodes are interned to dense integer ids; edges live as fixed-width
     rows ``[src nid, dst nid, kind code, callsite]`` in one flat
-    ``array("q")``, with per-node adjacency as lists of row indices.
-    :class:`Edge` objects are materialized lazily (and cached per row)
-    only when a traversal asks for them, so a million-edge graph costs
-    four machine words per edge plus its interned node objects — not a
-    million Python tuples.
+    ``array("q")``.  :class:`Edge` objects are materialized lazily (and
+    cached per row) only when a traversal asks for them, so a
+    million-edge graph costs a few machine words per edge plus its
+    interned node objects — not a million Python tuples.
 
-    ``remove_edge`` tombstones the row (kind code ``-1``); the arena is
-    append-only and a dead row stays in both adjacency lists, where
-    every iteration skips it, so removal costs O(1) however large the
-    endpoints' fan-out (⊤'s out-list spans the whole program).  All
-    public iteration orders match the previous object-graph
-    representation: ``deps_of`` / ``flows_of`` are in per-node insertion
-    order and ``edges()`` groups by destination in first-seen order.
+    While the graph is built it holds only the rows, the node
+    interning, a dedupe index (one packed int per live row) and the
+    first-seen order of edge destinations; no per-node list.
+    ``remove_edge`` tombstones the row (kind code ``-1``) and drops it
+    from the index.  :meth:`seal` indexes the live rows into two
+    compressed sparse row (CSR) indexes, one per direction, each an
+    offsets array plus an array of rows (:data:`Adjacency`): a counting
+    pass gives the offsets, a stable sort by node id places the rows.
+    An unsealed graph that is read builds the same indexes lazily and
+    drops them at its next edit.  All public iteration orders match
+    the previous object-graph representation: ``deps_of`` / ``flows_of``
+    are in per-node insertion order and ``edges()`` groups by
+    destination in first-seen order.
 
     Whole-graph algorithms (Γ resolution, Opt II, the must-flow-from
-    closure) traverse by id through :meth:`node_id`, :meth:`node_table`,
-    :meth:`rows_into` / :meth:`rows_out_of` and :meth:`def_columns`,
-    which build no :class:`Edge` and hash no node along the way.  Those
+    closure, guided instrumentation) traverse by id through
+    :meth:`node_id`, :meth:`node_table`, :meth:`def_columns` and the
+    traversal accessor :meth:`row_ids_into` / :meth:`row_ids_out_of`,
+    decoding only the words of :meth:`columns` they need; they build no
+    :class:`Edge`, no row tuple and hash no node along the way.  Those
     reads are also all a :class:`VFGOverlay` offers, so the same
     algorithms run on Opt II's rewired view.
 
-    The builder seals every graph it returns (:meth:`seal`): the dedupe
-    index is dropped and any further edge mutation raises, because one
-    built graph is shared by every configuration that analyzes it.
+    The builder seals every graph it returns: the dedupe index is
+    dropped, the definitions move into the id-indexed
+    :meth:`def_columns` (:attr:`def_site` becomes a read-only
+    :class:`DefSites` view of them), and any further edge mutation or
+    :meth:`record_def` raises, because one built graph is shared by
+    every configuration that analyzes it.
     """
 
     def __init__(self, address_taken: bool = True) -> None:
@@ -194,50 +317,45 @@ class VFG:
         #: node interning: object -> dense id, id -> object
         self._node_ids: Dict[Node, int] = {}
         self._node_list: List[Node] = []
+        #: node ids in the order they were first seen, a new edge's
+        #: destination before its source: :meth:`edges` groups by it
+        self._deps_order = array("q")
         #: edge rows, _ROW words each, append-only
         self._columns = array("q")
-        #: the live row's words ``(src nid, dst nid, kind code,
-        #: callsite)`` -> row index (dedupe + removal); int keys hash
-        #: cheaply.  ``None`` once sealed.
-        self._edge_ids: Optional[Dict[Tuple[int, int, int, int], int]] = {}
+        #: the live row's packed words (:func:`_edge_key`) -> the row
+        #: (its first word's index; dedupe + removal).  ``None`` once
+        #: sealed.
+        self._edge_ids: Optional[Dict[int, int]] = {}
         #: the live edge count, kept when :meth:`seal` drops the index
         self._sealed_edges = 0
-        #: row index -> materialized Edge (lazy)
+        #: the CSR indexes of the live rows; ``None`` while stale
+        self._adjacency: Optional[Adjacency] = None
+        #: row -> materialized Edge (lazy)
         self._edge_cache: Dict[int, Edge] = {}
-        #: node id -> in-/out-edge row indices (dead rows included),
-        #: insertion order
-        self._deps: Dict[int, List[int]] = {}
-        self._flows: Dict[int, List[int]] = {}
         self.check_sites: List[CheckSite] = []
         #: node -> (defining instruction uid, def kind tag); write it
         #: through :meth:`record_def`, which keeps :meth:`def_columns`
-        #: current
-        self.def_site: Dict[Node, Tuple[Optional[int], str]] = {}
+        #: current.  A :class:`DefSites` view once sealed.
+        self.def_site: Mapping[Node, Tuple[Optional[int], str]] = {}
         self._def_columns: Optional[Tuple[list, list]] = None
         self.stats = VFGStats()
 
     # ------------------------------------------------------------------
-    def _edge(self, eid: int) -> Edge:
-        edge = self._edge_cache.get(eid)
+    def _edge(self, row: int) -> Edge:
+        edge = self._edge_cache.get(row)
         if edge is None:
             words = self._columns
-            base = eid * _ROW
-            callsite = words[base + 3]
+            callsite = words[row + 3]
             edge = Edge(
-                self._node_list[words[base]],
-                self._node_list[words[base + 1]],
-                _KIND_FROM_CODE[words[base + 2]],
-                None if callsite == _NO_CALLSITE else callsite,
+                self._node_list[words[row]],
+                self._node_list[words[row + 1]],
+                KIND_OF_CODE[words[row + 2]],
+                None if callsite == NO_CALLSITE else callsite,
             )
-            self._edge_cache[eid] = edge
+            self._edge_cache[row] = edge
         return edge
 
-    def _live(self, eids: List[int]) -> List[int]:
-        """``eids`` without the tombstoned rows."""
-        words = self._columns
-        return [eid for eid in eids if words[eid * _ROW + 2] != _DEAD]
-
-    def _index(self) -> Dict[Tuple[int, int, int, int], int]:
+    def _index(self) -> Dict[int, int]:
         """The dedupe index; raises once the graph is sealed."""
         edge_ids = self._edge_ids
         if edge_ids is None:
@@ -246,22 +364,91 @@ class VFG:
             )
         return edge_ids
 
-    def seal(self) -> None:
-        """Make the graph read-only: drop the dedupe index (one tuple
-        per edge) and keep only the edge count.  Every later
-        :meth:`add_edge`, :meth:`remove_edge` or
-        :meth:`remove_edges_between` raises ``RuntimeError``."""
-        if self._edge_ids is not None:
-            self._sealed_edges = len(self._edge_ids)
-            self._edge_ids = None
+    def adjacency(self) -> Adjacency:
+        """Both CSR indexes of the live rows (:data:`Adjacency`), in
+        per-node insertion order.  Fixed once the graph is sealed; on
+        an unsealed graph, valid until its next edit.  Read them,
+        never mutate them."""
+        adjacency = self._adjacency
+        if adjacency is None:
+            words = self._columns
+            count = len(self._node_list)
+            if self.num_edges * _ROW == len(words):
+                srcs: Iterable[int] = range(0, len(words), _ROW)
+                dsts: Iterable[int] = range(1, len(words), _ROW)
+            else:  # skip the tombstoned rows
+                srcs = [
+                    row for row in range(0, len(words), _ROW)
+                    if words[row + 2] != _DEAD
+                ]
+                dsts = [row + 1 for row in srcs]
+            adjacency = self._adjacency = (
+                _csr(words, dsts, 1, count) + _csr(words, srcs, 0, count)
+            )
+        return adjacency
 
-    def _kill(self, eid: int) -> None:
-        """Tombstone live row ``eid``; it stays in the adjacency lists."""
+    def seal(self) -> None:
+        """Make the graph read-only.  Index the live rows
+        (:meth:`adjacency`), drop the dedupe index and keep only the
+        edge count, and move :attr:`def_site` into the id-indexed
+        columns :meth:`def_columns` returns.  Every later
+        :meth:`add_edge`, :meth:`remove_edge`,
+        :meth:`remove_edges_between` or :meth:`record_def` raises
+        ``RuntimeError``."""
+        if self._edge_ids is None:
+            return
+        self._sealed_edges = len(self._edge_ids)
+        self._edge_ids = None
+        self.adjacency()
+        ids = self._node_ids
+        uids: List[Optional[int]] = [None] * len(self._node_list)
+        kinds: List[Optional[str]] = [None] * len(self._node_list)
+        lone = {}
+        defs = self.def_site
+        for node, site in defs.items():
+            nid = ids.get(node)
+            if nid is None:
+                lone[node] = site
+            else:
+                uids[nid], kinds[nid] = site
+        self._def_columns = (uids, kinds)
+        self.def_site = DefSites(
+            ids, self._node_list, uids, kinds, lone, len(defs)
+        )
+
+    def _kill(self, row: int) -> None:
+        """Tombstone live ``row``."""
         words = self._columns
-        base = eid * _ROW
-        del self._index()[tuple(words[base:base + _ROW])]
-        words[base + 2] = _DEAD
-        self._edge_cache.pop(eid, None)
+        del self._index()[_edge_key(*words[row:row + _ROW])]
+        words[row + 2] = _DEAD
+        self._edge_cache.pop(row, None)
+        self._adjacency = None
+
+    def _intern(
+        self, src: Node, dst: Node, sid: Optional[int], did: Optional[int]
+    ) -> Tuple[int, int]:
+        """Intern the endpoints of a new edge whose ids (``None`` when
+        new) are ``sid`` and ``did``: ``(src id, dst id)``."""
+        ids = self._node_ids
+        table = self._node_list
+        order = self._deps_order
+        if len(table) + 2 > 1 << _ID_BITS:
+            raise OverflowError("too many VFG nodes for the packed edge key")
+        if sid is None:
+            sid = ids[src] = len(table)
+            table.append(src)
+            if did is None:
+                did = ids.get(dst)  # a new self-loop interned it above
+                if did is None:
+                    did = ids[dst] = len(table)
+                    table.append(dst)
+                    order.append(did)
+            order.append(sid)
+        else:
+            did = ids[dst] = len(table)
+            table.append(dst)
+            order.append(did)
+        return sid, did
 
     # ------------------------------------------------------------------
     def add_edge(
@@ -271,40 +458,30 @@ class VFG:
         kind: str = INTRA,
         callsite: Optional[int] = None,
     ) -> None:
-        edge_ids = self._index()
+        edge_ids = self._edge_ids
+        if edge_ids is None:
+            self._index()  # raises: a sealed graph's edges are fixed
         ids = self._node_ids
         sid = ids.get(src)
         did = ids.get(dst)
-        fresh = sid is None or did is None
-        if fresh:
-            table = self._node_list
-            if sid is None:
-                sid = ids[src] = len(table)
-                table.append(src)
-            if did is None:
-                did = ids.get(dst)  # a new self-loop interned it above
-                if did is None:
-                    did = ids[dst] = len(table)
-                    table.append(dst)
-        key = (
-            sid,
-            did,
-            _KIND_CODES[kind],
-            _NO_CALLSITE if callsite is None else callsite,
-        )
+        if sid is None or did is None:
+            sid, did = self._intern(src, dst, sid, did)
         words = self._columns
-        eid = len(words) // _ROW
-        if edge_ids.setdefault(key, eid) != eid:
-            return  # already present
-        words.extend(key)
-        if fresh:
-            self._deps.setdefault(did, []).append(eid)
-            self._flows.setdefault(sid, []).append(eid)
-            self._deps.setdefault(sid, [])
-            self._flows.setdefault(did, [])
+        row = len(words)
+        if callsite is None and kind == INTRA:
+            # _edge_key of an intraprocedural row, inlined: this is the
+            # build's hottest call.
+            code, callsite = INTRA_CODE, NO_CALLSITE
+            key = did << _ID_BITS | sid
         else:
-            self._deps[did].append(eid)
-            self._flows[sid].append(eid)
+            code = _KIND_CODES[kind]
+            if callsite is None:
+                callsite = NO_CALLSITE
+            key = _edge_key(sid, did, code, callsite)
+        if edge_ids.setdefault(key, row) != row:
+            return  # already present
+        words.extend((sid, did, code, callsite))
+        self._adjacency = None
 
     def remove_edge(self, edge: Edge) -> None:
         edge_ids = self._index()
@@ -312,15 +489,14 @@ class VFG:
         did = self._node_ids.get(edge.dst)
         if sid is None or did is None:
             return
-        key = (
+        row = edge_ids.get(_edge_key(
             sid,
             did,
             _KIND_CODES[edge.kind],
-            _NO_CALLSITE if edge.callsite is None else edge.callsite,
-        )
-        eid = edge_ids.get(key)
-        if eid is not None:
-            self._kill(eid)
+            NO_CALLSITE if edge.callsite is None else edge.callsite,
+        ))
+        if row is not None:
+            self._kill(row)
 
     def remove_edges_between(self, src: Node, dst: Node) -> int:
         """Remove every ``src → dst`` edge (any kind / callsite).
@@ -334,35 +510,46 @@ class VFG:
         if sid is None or did is None:
             return 0
         words = self._columns
-        removed = 0
-        for eid in self._deps[did]:
-            base = eid * _ROW
-            if words[base + 2] != _DEAD and words[base] == sid:
-                self._kill(eid)
-                removed += 1
-        return removed
+        doomed = [
+            row for row in range(0, len(words), _ROW)
+            if words[row + 1] == did
+            and words[row] == sid
+            and words[row + 2] != _DEAD
+        ]
+        for row in doomed:
+            self._kill(row)
+        return len(doomed)
 
     def deps_of(self, node: Node) -> List[Edge]:
         """Edges into ``node`` (the values it depends on)."""
         nid = self._node_ids.get(node)
         if nid is None:
             return []
-        return [self._edge(eid) for eid in self._live(self._deps[nid])]
+        offsets, rows, _, _ = self.adjacency()
+        return [self._edge(row) for row in rows[offsets[nid]:offsets[nid + 1]]]
 
     def flows_of(self, node: Node) -> List[Edge]:
         """Edges out of ``node`` (the nodes its value flows into)."""
         nid = self._node_ids.get(node)
         if nid is None:
             return []
-        return [self._edge(eid) for eid in self._live(self._flows[nid])]
+        _, _, offsets, rows = self.adjacency()
+        return [self._edge(row) for row in rows[offsets[nid]:offsets[nid + 1]]]
 
     def nodes(self) -> Iterable[Node]:
         return list(self._node_list)
 
+    def deps_order(self) -> array:
+        """Node ids in first-seen order, a new edge's destination
+        before its source (the grouping order of :meth:`edges`).  Read
+        it, never mutate it."""
+        return self._deps_order
+
     def edges(self) -> Iterable[Edge]:
-        for eids in self._deps.values():
-            for eid in self._live(eids):
-                yield self._edge(eid)
+        offsets, rows, _, _ = self.adjacency()
+        for nid in self._deps_order:
+            for row in rows[offsets[nid]:offsets[nid + 1]]:
+                yield self._edge(row)
 
     @property
     def num_nodes(self) -> int:
@@ -374,7 +561,11 @@ class VFG:
             return self._sealed_edges
         return len(self._edge_ids)
 
-    def record_def(self, node: Node, instr_uid: Optional[int], kind: str) -> None:
+    def record_def(
+        self, node: Node, instr_uid: Optional[int], kind: str
+    ) -> None:
+        if self._edge_ids is None:
+            self._index()  # raises: a sealed graph's definitions are fixed
         self.def_site[node] = (instr_uid, kind)
         self._def_columns = None
 
@@ -390,38 +581,50 @@ class VFG:
         read it, never mutate it."""
         return self._node_list
 
-    def rows_into(self, nid: int) -> List[Tuple[int, int, str, Optional[int]]]:
+    def columns(self) -> array:
+        """The flat edge rows, ``_ROW`` words each: ``src id, dst id,
+        kind code`` (:data:`KIND_OF_CODE`) ``, callsite``
+        (:data:`NO_CALLSITE` for none).  Tombstoned rows stay in it.
+        Read it, never mutate it."""
+        return self._columns
+
+    def row_ids_into(self, nid: int):
+        """The live rows into node id ``nid``, in :meth:`deps_of`
+        order, each named by its first word's index in
+        :meth:`columns`.  The traversal accessor: Γ, Opt II and the
+        closure decode only the words they need, building no tuple."""
+        offsets, rows, _, _ = self._adjacency or self.adjacency()
+        try:
+            return rows[offsets[nid]:offsets[nid + 1]]
+        except IndexError:
+            return []
+
+    def row_ids_out_of(self, nid: int):
+        """The live rows out of node id ``nid``, in :meth:`flows_of`
+        order (see :meth:`row_ids_into`)."""
+        _, _, offsets, rows = self._adjacency or self.adjacency()
+        try:
+            return rows[offsets[nid]:offsets[nid + 1]]
+        except IndexError:
+            return []
+
+    def rows_into(self, nid: int) -> List[Row]:
         """The live edges into node id ``nid`` as ``(src id, dst id,
         kind, callsite)`` rows, in :meth:`deps_of` order."""
-        return self._rows(self._deps.get(nid, ()))
+        return _rows(self._columns, self.row_ids_into(nid))
 
-    def rows_out_of(self, nid: int) -> List[Tuple[int, int, str, Optional[int]]]:
+    def rows_out_of(self, nid: int) -> List[Row]:
         """The live edges out of node id ``nid``, in :meth:`flows_of`
         order (see :meth:`rows_into`)."""
-        return self._rows(self._flows.get(nid, ()))
-
-    def _rows(self, eids) -> List[Tuple[int, int, str, Optional[int]]]:
-        words = self._columns
-        rows = []
-        for eid in eids:
-            base = eid * _ROW
-            code = words[base + 2]
-            if code != _DEAD:
-                callsite = words[base + 3]
-                rows.append((
-                    words[base],
-                    words[base + 1],
-                    _KIND_FROM_CODE[code],
-                    None if callsite == _NO_CALLSITE else callsite,
-                ))
-        return rows
+        return _rows(self._columns, self.row_ids_out_of(nid))
 
     def def_columns(self) -> Tuple[List[Optional[int]], List[Optional[str]]]:
         """``(uids, kinds)``: :attr:`def_site` as two lists indexed by
         node id (``None`` for a node without a recorded definition).
 
-        Built once and kept until a definition is recorded or a node
-        interned; read them, never mutate them."""
+        A sealed graph's only store of its definitions; an unsealed
+        one builds them once and keeps them until a definition is
+        recorded or a node interned.  Read them, never mutate them."""
         columns = self._def_columns
         if columns is None or len(columns[0]) != len(self._node_list):
             uids: List[Optional[int]] = [None] * len(self._node_list)
@@ -441,10 +644,14 @@ class VFGOverlay:
 
     Algorithm 1 only removes consumer edges and adds ``⊤ → r`` edges,
     so the rewired graph is the base minus some rows plus some fresh ⊤
-    edges.  The overlay records exactly that — the removed row ids and
-    an insertion-ordered set of the nodes given a fresh ⊤ edge — and
-    never writes the base.  It offers the base's id-level reads
-    (:meth:`node_id`, :meth:`node_table`, :meth:`def_columns`,
+    edges.  The overlay records exactly that — the removed rows and an
+    insertion-ordered map from each node given a fresh ⊤ edge to that
+    edge's row — and never writes the base.  It reads the base's rows
+    through their CSR indexes (:meth:`VFG.adjacency`) and appends its
+    fresh rows to its own copy of the base's columns, so a reader
+    decodes every row the same way.  It offers the base's id-level
+    reads (:meth:`node_id`, :meth:`node_table`, :meth:`def_columns`,
+    :meth:`columns`, :meth:`row_ids_into`, :meth:`row_ids_out_of`,
     :meth:`rows_into`, :meth:`rows_out_of`) and answers them as a
     mutable copy of the base would after the same edits, order
     included:
@@ -459,10 +666,14 @@ class VFGOverlay:
 
     def __init__(self, base: VFG) -> None:
         self.base = base
-        #: ids of the base rows removed in the view
+        self._words = array("q", base.columns())
+        self._in_offsets, self._in_rows, self._out_offsets, self._out_rows = (
+            base.adjacency()
+        )
+        #: the base rows removed in the view
         self._removed: Set[int] = set()
-        #: node id -> None for each fresh ``⊤ → r`` row, in row order
-        self._top_to: Dict[int, None] = {}
+        #: node id -> its fresh ``⊤ → r`` row, in row order
+        self._top_to: Dict[int, int] = {}
         self._top = base.node_id(TOP)
         self._table = base.node_table()
         self._def_columns: Optional[Tuple[list, list]] = None
@@ -485,29 +696,51 @@ class VFGOverlay:
             return self._def_columns
         return self.base.def_columns()
 
-    def rows_into(self, nid: int) -> List[Tuple[int, int, str, Optional[int]]]:
-        rows = self._rows(self.base._deps.get(nid, ()))
-        if nid in self._top_to:
-            rows.append((self._top, nid, INTRA, None))
-        return rows
+    def columns(self) -> array:
+        return self._words
 
-    def rows_out_of(self, nid: int) -> List[Tuple[int, int, str, Optional[int]]]:
-        rows = self._rows(self.base._flows.get(nid, ()))
-        if nid == self._top:
-            rows.extend((nid, dst, INTRA, None) for dst in self._top_to)
-        return rows
+    def _base_rows_into(self, nid: int):
+        """The base's rows into ``nid``, removed ones included."""
+        offsets = self._in_offsets
+        try:
+            return self._in_rows[offsets[nid]:offsets[nid + 1]]
+        except IndexError:
+            return []  # the ⊤ the view interned
 
-    def _rows(self, eids) -> List[Tuple[int, int, str, Optional[int]]]:
+    def row_ids_into(self, nid: int):
+        rows = self._base_rows_into(nid)
         removed = self._removed
         if removed:
-            eids = [eid for eid in eids if eid not in removed]
-        return self.base._rows(eids)
+            rows = [row for row in rows if row not in removed]
+        fresh = self._top_to.get(nid)
+        if fresh is not None:
+            rows.append(fresh)
+        return rows
+
+    def row_ids_out_of(self, nid: int):
+        offsets = self._out_offsets
+        try:
+            rows = self._out_rows[offsets[nid]:offsets[nid + 1]]
+        except IndexError:
+            rows = []  # the ⊤ the view interned
+        removed = self._removed
+        if removed:
+            rows = [row for row in rows if row not in removed]
+        if nid == self._top:
+            rows.extend(self._top_to.values())
+        return rows
+
+    def rows_into(self, nid: int) -> List[Row]:
+        return _rows(self._words, self.row_ids_into(nid))
+
+    def rows_out_of(self, nid: int) -> List[Row]:
+        return _rows(self._words, self.row_ids_out_of(nid))
 
     def edges(self) -> Iterable[Edge]:
         """The view's edges, grouped by destination like
         :meth:`VFG.edges`."""
         table = self._table
-        for nid in self.base._deps:
+        for nid in self.base.deps_order():
             for src, dst, kind, callsite in self.rows_into(nid):
                 yield Edge(table[src], table[dst], kind, callsite)
 
@@ -515,36 +748,43 @@ class VFGOverlay:
     def remove_rows_into(self, nid: int, srcs) -> int:
         """Remove every live edge into node id ``nid`` whose source id
         is in ``srcs``; returns the number removed."""
-        words = self.base._columns
-        removed = 0
-        for eid in self.base._deps.get(nid, ()):
-            base = eid * _ROW
-            if (
-                words[base + 2] != _DEAD
-                and words[base] in srcs
-                and eid not in self._removed
-            ):
-                self._removed.add(eid)
-                removed += 1
+        words = self._words
+        removed = self._removed
+        doomed = [
+            row for row in self._base_rows_into(nid)
+            if words[row] in srcs and row not in removed
+        ]
+        removed.update(doomed)
+        count = len(doomed)
         if nid in self._top_to and self._top in srcs:
             del self._top_to[nid]
-            removed += 1
-        return removed
+            count += 1
+        return count
 
     def redirect_to_top(self, nid: int) -> None:
         """Add ``⊤ → nid`` (intraprocedural) unless a live one exists."""
         top = self._top
+        words = self._words
         if top is None:
             top = self._top = len(self._table)
             self._table = self._table + [TOP]
             uids, kinds = self.base.def_columns()
             uid, kind = self.base.def_site.get(TOP, (None, None))
             self._def_columns = (uids + [uid], kinds + [kind])
-        elif nid in self._top_to or (top, nid, INTRA, None) in self._rows(
-            self.base._deps.get(nid, ())
-        ):
+        elif nid in self._top_to:
             return
-        self._top_to[nid] = None
+        else:
+            removed = self._removed
+            for row in self._base_rows_into(nid):
+                if (
+                    words[row] == top
+                    and words[row + 2] == INTRA_CODE
+                    and words[row + 3] == NO_CALLSITE
+                    and row not in removed
+                ):
+                    return
+        self._top_to[nid] = len(words)
+        words.extend((top, nid, INTRA_CODE, NO_CALLSITE))
 
 
 #: What Γ resolution, the must-flow-from closure and Opt II read: a

@@ -131,6 +131,7 @@ def closure_ids(
     if grouping and _preserves_mask(by_uid, uids[sink], kinds[sink]):
         return {sink}, {sink}
     table = vfg.node_table()
+    words = vfg.columns()
     top = vfg.node_id(TOP)
     nodes: Set[int] = set()
     sources: Set[int] = set()
@@ -157,10 +158,10 @@ def closure_ids(
             if isinstance(instr, ins.BinOp) and instr.op in _BITWISE_OPS:
                 sources.add(nid)
                 continue
-        preds = vfg.rows_into(nid)
+        preds = vfg.row_ids_into(nid)
         if not preds:
             sources.add(nid)
             continue
         for row in preds:
-            work.append(row[0])
+            work.append(words[row])  # the row's source id
     return nodes, sources

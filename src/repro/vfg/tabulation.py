@@ -26,9 +26,10 @@ call/return pairs throughout.  The classic two-phase algorithm:
 
 The result is never less precise than any k-limited call-string
 resolution (property-tested), at the cost of the summary computation.
-Both phases run on node ids through the id-level graph reads, so Opt
-II's rewired view (:class:`repro.vfg.graph.VFGOverlay`) resolves the
-same way as a built graph.
+Both phases run on node ids and rows through the id-level graph reads
+(:meth:`repro.vfg.graph.VFG.row_ids_out_of`), so Opt II's rewired view
+(:class:`repro.vfg.graph.VFGOverlay`) resolves the same way as a built
+graph.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from collections import defaultdict
 from typing import Dict, List, Set, Tuple
 
 from repro.vfg.definedness import Definedness, resolve_definedness
-from repro.vfg.graph import BOT, CALL, INTRA, RET, GraphView
+from repro.vfg.graph import BOT, CALL_CODE, INTRA_CODE, RET_CODE, GraphView
 
 
 def resolve_gamma(
@@ -70,14 +71,15 @@ def compute_summaries(vfg: GraphView) -> Dict[int, Set[int]]:
     """Summary edges by node id: caller node → caller node, skipping a
     balanced call-through (the tabulation of [23] with a single data
     fact)."""
-    rows_out_of = vfg.rows_out_of
-    #: callee entry id -> (caller source id, call site) of each call
-    #: edge targeting it
+    words = vfg.columns()
+    row_ids_out_of = vfg.row_ids_out_of
+    #: callee entry id -> (caller source id, call site word) of each
+    #: call edge targeting it
     entry_calls: Dict[int, List[Tuple[int, int]]] = defaultdict(list)
     for nid in range(vfg.num_nodes):
-        for src, dst, kind, callsite in rows_out_of(nid):
-            if kind == CALL:
-                entry_calls[dst].append((src, callsite))
+        for row in row_ids_out_of(nid):
+            if words[row + 2] == CALL_CODE:
+                entry_calls[words[row + 1]].append((nid, words[row + 3]))
 
     #: path edges: entry -> same-level-reachable nodes
     path: Dict[int, Set[int]] = {e: {e} for e in entry_calls}
@@ -102,18 +104,20 @@ def compute_summaries(vfg: GraphView) -> Dict[int, Set[int]]:
 
     while work:
         entry, node = work.pop()
-        for _, dst, kind, callsite in rows_out_of(node):
-            if kind == INTRA:
-                add_path(entry, dst)
-            elif kind == RET:
+        for row in row_ids_out_of(node):
+            code = words[row + 2]
+            if code == INTRA_CODE:
+                add_path(entry, words[row + 1])
+            elif code == RET_CODE:
                 # A same-level path of `entry` ended at a return to
                 # call site `callsite`: every matching call edge into
                 # `entry` yields a summary in the caller.  (A call edge
                 # descends: the callee's entry has its own tabulation,
                 # whose summaries lift the flow back here.)
+                callsite = words[row + 3]
                 for caller, call_site in entry_calls.get(entry, ()):
                     if call_site == callsite:
-                        add_summary(caller, dst)
+                        add_summary(caller, words[row + 1])
         # Summary edges already known from `node` extend this context.
         for target in summaries.get(node, ()):
             add_path(entry, target)
@@ -136,20 +140,22 @@ def _two_phase_reachability(
             seen.add(state)
             work.append(state)
 
-    rows_out_of = vfg.rows_out_of
+    words = vfg.columns()
+    row_ids_out_of = vfg.row_ids_out_of
     while work:
         nid, phase = work.pop()
         reached.add(nid)
         for target in summaries.get(nid, ()):
             push(target, phase)
-        for _, dst, kind, _ in rows_out_of(nid):
-            if kind == INTRA:
-                push(dst, phase)
-            elif kind == RET:
+        for row in row_ids_out_of(nid):
+            code = words[row + 2]
+            if code == INTRA_CODE:
+                push(words[row + 1], phase)
+            elif code == RET_CODE:
                 if phase == 0:
-                    push(dst, 0)
+                    push(words[row + 1], 0)
                 # In phase 1 a raw return would close a call it did not
                 # open: unrealizable.
-            elif kind == CALL:
-                push(dst, 1)
+            elif code == CALL_CODE:
+                push(words[row + 1], 1)
     return reached

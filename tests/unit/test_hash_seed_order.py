@@ -5,6 +5,10 @@ out-edges — and with them the shortest explanation chain chosen among
 equal-length ties — are the same in every process.  The check runs the
 same analysis in child processes under different hash seeds and
 compares F's ``flows_of`` order and every explanation, as text.
+
+The reference pointer solver walks its points-to sets and copy edges
+in insertion order, so its work counters are the same in every
+process too.
 """
 
 from __future__ import annotations
@@ -38,10 +42,10 @@ for name, source in sources.items():
 """
 
 
-def _probe(seed: str) -> str:
+def _probe(seed: str, probe: str = _PROBE) -> str:
     env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(SRC))
     done = subprocess.run(
-        [sys.executable, "-c", _PROBE],
+        [sys.executable, "-c", probe],
         capture_output=True,
         env=env,
         text=True,
@@ -55,3 +59,22 @@ def test_root_edges_and_explanations_ignore_the_hash_seed():
     first = _probe("0")
     assert first.count("\n") > 100  # sites were explained
     assert _probe("7") == first
+
+
+#: Prints the reference solver's work counters on pointer-heavy modules.
+_SOLVER_PROBE = """
+from repro.analysis import analyze_pointers
+from repro.tinyc import compile_source
+from repro.workloads import GeneratorParams, generate_program
+for seed, factor in ((11, 2), (11, 8), (5, 6)):
+    params = GeneratorParams().scaled(factor).pointer_heavy()
+    module = compile_source(generate_program(seed, params), f"heavy{seed}")
+    stats = analyze_pointers(module, use_reference=True).solver_stats
+    print(seed, factor, stats.pops, stats.facts_propagated, stats.facts_added)
+"""
+
+
+def test_reference_solver_work_ignores_the_hash_seed():
+    runs = [_probe(seed, _SOLVER_PROBE) for seed in ("0", "1", "7")]
+    assert runs[0].count("\n") == 3
+    assert runs[1] == runs[0] and runs[2] == runs[0]

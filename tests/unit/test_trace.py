@@ -122,6 +122,55 @@ class TestSessionSpans:
             assert name in names, name
 
 
+class TestSpanCounters:
+    """The layer that computes a count tags its span with it, so one
+    trace holds both time and work."""
+
+    SOURCE = (
+        "def stash(p, v) { *p = v; return 0; }\n"
+        "def main() {\n  var u;\n  var cell = malloc(1);\n"
+        "  stash(cell, u);\n  if (*cell) { output(1); }\n  return 0;\n}\n"
+    )
+
+    def test_counting_layers_tag_their_spans(self):
+        from repro.api import analyze
+
+        with TRACE.capture():
+            analysis = analyze(source=self.SOURCE, name="counters")
+            spans = [(e.name, e.tags) for e in TRACE.events]
+        TRACE.clear()
+        builds = [tags for name, tags in spans if name == "vfg.build"]
+        assert len(builds) == 2  # TL and the shared TL+AT graph
+        for tags in builds:
+            assert type(tags["nodes"]) is int and tags["nodes"] > 0
+            assert type(tags["edges"]) is int and tags["edges"] > 0
+        plans = {
+            tags["config"]: tags
+            for name, tags in spans
+            if name == "instrument"
+        }
+        assert set(plans) == set(analysis.results)
+        for config, tags in plans.items():
+            plan = analysis.plans[config]
+            assert tags["checks"] == plan.count_checks()
+            assert tags["propagations"] == plan.count_propagations()
+        solves = [tags for name, tags in spans if name == "pointer_analysis"]
+        stats = analysis.prepared.solver_stats
+        assert solves == [{
+            "solver": "delta",
+            "pops": stats.pops,
+            "facts_propagated": stats.facts_propagated,
+        }]
+        assert stats.pops > 0 and stats.facts_propagated > 0
+
+    def test_a_disabled_tracer_records_no_counters(self):
+        from repro.api import analyze
+
+        TRACE.clear()
+        analyze(source=self.SOURCE, name="untraced")
+        assert TRACE.events == []
+
+
 class TestDisabledMode:
     def test_span_returns_shared_noop_singleton(self):
         tracer = Tracer()

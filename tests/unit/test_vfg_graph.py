@@ -1,11 +1,11 @@
 """Tombstoned edge removal, sealing and Opt II's overlay over the VFG's
 struct-of-arrays storage.
 
-``remove_edge`` / ``remove_edges_between`` mark the row dead and leave
-it in both adjacency lists.  Every observable must still match a graph
-built without the removed edges, order included: ``deps_of``,
-``flows_of``, ``edges()``, ``num_edges`` and the id-level rows.
-Re-adding a removed edge must behave like adding it anew.
+``remove_edge`` / ``remove_edges_between`` mark the row dead and drop
+it from the adjacency the graph reads.  Every observable must still
+match a graph built without the removed edges, order included:
+``deps_of``, ``flows_of``, ``edges()``, ``num_edges`` and the id-level
+rows.  Re-adding a removed edge must behave like adding it anew.
 
 A :class:`VFGOverlay` over a sealed graph must read exactly like that
 graph with the same rows removed and the same ``⊤ → r`` edges added
