@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Union
 
+from repro.gcpause import collector_paused
 from repro.ir.module import Module
 from repro.ir.verifier import verify_module
 from repro.core import (
@@ -81,11 +82,13 @@ class Analysis:
     _trees: Dict[str, FlowTree] = field(default_factory=dict)
     max_steps: int = MAX_STEPS
 
+    @collector_paused()
     def run_native(self) -> ExecutionReport:
         if self._native is None:
             self._native = run_native(self.module, max_steps=self.max_steps)
         return self._native
 
+    @collector_paused()
     def run(self, config: str) -> ExecutionReport:
         """Execute under the named configuration's instrumentation."""
         if config not in self._runs:
@@ -169,6 +172,7 @@ class Analysis:
         return None
 
 
+@collector_paused()
 def analyze(
     *,
     source: Optional[str] = None,
@@ -194,6 +198,9 @@ def analyze(
     Γ is resolved eagerly, by whole-program reachability from F;
     :meth:`Analysis.query` reads it and :meth:`Analysis.explain`
     walks one shared :class:`~repro.vfg.explain.FlowTree` per config.
+    The cyclic garbage collector is paused while it runs, and while
+    :meth:`Analysis.run` and :meth:`Analysis.run_native` run
+    (:mod:`repro.gcpause`).
     """
     if (source is None) == (module is None):
         raise ValueError("pass exactly one of source= or module=")

@@ -97,10 +97,11 @@ def redundant_check_elimination(
         if not isinstance(site.node, TopNode):
             continue
         check_instr = by_uid.get(site.instr_uid)
-        if check_instr is None or check_instr.block is None:
+        check_block = check_instr.block if check_instr is not None else None
+        if check_block is None:
             continue
         stats.sites_processed += 1
-        check_func = check_instr.block.function.name
+        check_func = check_block.function.name
         sink = rewired.node_id(site.node)
         if sink is None:
             continue  # no edge touches it: no consumers
@@ -147,15 +148,16 @@ def redundant_check_elimination(
                 if r_func is None or r_func == check_func:
                     continue
                 if not _dominates_function(
-                    r_func, check_instr, callgraph, by_uid, dts
+                    r_func, check_func, check_instr, callgraph, by_uid, dts, {}
                 ):
                     continue
                 cross_function = True
             else:
                 r_instr = by_uid.get(r_uid)
-                if r_instr is None or r_instr.block is None:
+                r_block = r_instr.block if r_instr is not None else None
+                if r_block is None:
                     continue
-                r_func = r_instr.block.function.name
+                r_func = r_block.function.name
                 cross_function = r_func != check_func
                 if not cross_function:
                     dt = dts[check_func]
@@ -165,7 +167,7 @@ def redundant_check_elimination(
                     if not interprocedural:
                         continue  # the paper's conservative choice
                     if not _dominates_function(
-                        r_func, check_instr, callgraph, by_uid, dts
+                        r_func, check_func, check_instr, callgraph, by_uid, dts, {}
                     ):
                         continue
             if rewired.remove_rows_into(r, closure):
@@ -220,12 +222,9 @@ def _top_consumers_by_function(vfg: GraphView, by_uid) -> Dict[str, Set[int]]:
     for row in vfg.row_ids_out_of(top):
         dst = words[row + 1]
         instr = by_uid.get(uids[dst]) if uids[dst] is not None else None
-        if (
-            instr is not None
-            and instr.block is not None
-            and not isinstance(table[dst], Root)
-        ):
-            buckets.setdefault(instr.block.function.name, set()).add(dst)
+        block = instr.block if instr is not None else None
+        if block is not None and not isinstance(table[dst], Root):
+            buckets.setdefault(block.function.name, set()).add(dst)
     return buckets
 
 
@@ -265,46 +264,44 @@ def _feeds_bitwise(vfg: GraphView, by_uid) -> Set[int]:
 
 
 def _dominates_function(
-    target_func: str,
+    func: str,
+    check_func: str,
     check_instr,
     callgraph: CallGraph,
     by_uid,
     dts: "Dict[str, DominatorTree]",
+    state: "Dict[str, bool]",
 ) -> bool:
-    """Whether every execution of ``target_func`` passes ``check_instr``
-    first: each call site reaching it is either dominated by the check
-    (in the check's function) or sits in a function with the same
-    property.  Cycles resolve optimistically (greatest fixpoint): the
-    only entries into a call cycle are still verified.
+    """Whether every execution of ``func`` passes ``check_instr`` (in
+    ``check_func``) first: each call site reaching it is either
+    dominated by the check (in the check's function) or sits in a
+    function with the same property.  Cycles resolve optimistically
+    (greatest fixpoint): the only entries into a call cycle are still
+    verified.  ``state`` memoizes the verdict per function; callers
+    pass a fresh ``{}`` (a closure over it would be a reference cycle).
     """
-    check_func = check_instr.block.function.name
-    if target_func == "main":
+    if func == "main":
         return False
-    state: "Dict[str, bool]" = {}
-
-    def covered(func: str) -> bool:
-        if func == "main":
-            return False
-        if func in state:
-            return state[func]
-        state[func] = True  # optimistic for cycles
-        call_uids = callgraph.callers.get(func, set())
-        if not call_uids:
-            state[func] = False  # dead or external entry: be conservative
-            return False
-        for uid in call_uids:
-            call = by_uid.get(uid)
-            if call is None or call.block is None:
-                state[func] = False
-                return False
-            caller = call.block.function.name
-            if caller == check_func:
-                if not dts[caller].instr_dominates(check_instr, call):
-                    state[func] = False
-                    return False
-            elif not covered(caller):
-                state[func] = False
-                return False
+    if func in state:
         return state[func]
-
-    return covered(target_func)
+    state[func] = True  # optimistic for cycles
+    call_uids = callgraph.callers.get(func, set())
+    if not call_uids:
+        state[func] = False  # dead or external entry: be conservative
+        return False
+    for uid in call_uids:
+        call = by_uid.get(uid)
+        if call is None or call.block is None:
+            state[func] = False
+            return False
+        caller = call.block.function.name
+        if caller == check_func:
+            if not dts[caller].instr_dominates(check_instr, call):
+                state[func] = False
+                return False
+        elif not _dominates_function(
+            caller, check_func, check_instr, callgraph, by_uid, dts, state
+        ):
+            state[func] = False
+            return False
+    return state[func]

@@ -112,12 +112,12 @@ class DominatorTree:
         Both must belong to this function.  Within a block, earlier
         instructions dominate later ones.
         """
-        block_a = a.block.label
-        block_b = b.block.label
-        if block_a == block_b:
-            instrs = a.block.instrs
+        block_a = a.block
+        label_a, label_b = block_a.label, b.block.label
+        if label_a == label_b:
+            instrs = block_a.instrs
             return instrs.index(a) <= instrs.index(b)
-        return self.dominates(block_a, block_b)
+        return self.dominates(label_a, label_b)
 
     def iterated_frontier(self, blocks: Set[str]) -> Set[str]:
         """The iterated dominance frontier of a set of blocks (for φs)."""

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, Iterator, List, Optional
 
-from repro.ir.instructions import Instr, MemPhi, Phi
+from repro.ir.instructions import Instr, MemPhi, Phi, _no_parent
 from repro.ir.values import Var
 
 
@@ -13,14 +14,34 @@ class Block:
 
     The terminator (branch/jump/ret) is the last instruction of ``instrs``.
     ``mem_phis`` holds the memory-SSA φ nodes for address-taken variables
-    joined at this block (filled by :mod:`repro.memssa`).
+    joined at this block (filled by :mod:`repro.memssa`).  ``function``
+    is a weak back-reference, like :attr:`Instr.block`.
     """
 
     def __init__(self, label: str) -> None:
         self.label = label
         self.instrs: List[Instr] = []
         self.mem_phis: List[MemPhi] = []
-        self.function: Optional["Function"] = None
+        self._function = _no_parent
+
+    @property
+    def function(self) -> Optional["Function"]:
+        return self._function()
+
+    @function.setter
+    def function(self, function: Optional["Function"]) -> None:
+        self._function = _no_parent if function is None else weakref.ref(function)
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state["_function"] = _no_parent
+        return state
+
+    def __setstate__(self, state) -> None:
+        # Copies and unpickled blocks own their instructions' links.
+        self.__dict__.update(state)
+        for instr in self.instrs:
+            instr.block = self
 
     def append(self, instr: Instr) -> Instr:
         """Append ``instr`` to the block body and return it."""
@@ -114,6 +135,11 @@ class Function:
 
     def param_vars(self) -> List[Var]:
         return [Var(p) for p in self.params]
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        for block in self.blocks:
+            block.function = self
 
     def __repr__(self) -> str:
         return f"<Function {self.name}({', '.join(self.params)})>"

@@ -34,6 +34,7 @@ by :mod:`repro.memssa` after pointer analysis.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -85,6 +86,11 @@ class Chi:
         return f"{self.loc}.{m} := chi({self.loc}.{n})"
 
 
+def _no_parent() -> None:
+    """The parent link of an IR node that has no parent."""
+    return None
+
+
 class Instr:
     """Base class of all IR instructions.
 
@@ -93,6 +99,8 @@ class Instr:
             :meth:`repro.ir.module.Module.assign_uids`.  Instrumentation
             plans are keyed by it.
         block: Back-reference to the containing block (set on insertion).
+            It is weak, so the IR holds no reference cycle: it reads
+            ``None`` once nothing else holds the block.
         mus: μ annotations (loads and calls).
         chis: χ annotations (allocs, stores and calls).
     """
@@ -101,12 +109,27 @@ class Instr:
 
     def __init__(self) -> None:
         self.uid = -1
-        self.block = None
+        self._block = _no_parent
         self.mus: List[Mu] = []
         self.chis: List[Chi] = []
         #: Source line this instruction was lowered from (None if
         #: synthetic); used for diagnostics.
         self.line: Optional[int] = None
+
+    @property
+    def block(self):
+        return self._block()
+
+    @block.setter
+    def block(self, block) -> None:
+        self._block = _no_parent if block is None else weakref.ref(block)
+
+    def __getstate__(self):
+        # A weak reference neither pickles nor copies; the containing
+        # block relinks its instructions (``Block.__setstate__``).
+        state = self.__dict__.copy()
+        state["_block"] = _no_parent
+        return state
 
     def defs(self) -> Tuple[Var, ...]:
         """Top-level variables defined by this instruction."""

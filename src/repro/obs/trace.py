@@ -255,8 +255,11 @@ class Tracer:
         """Write :meth:`chrome_trace` to ``path``; returns the number
         of span events written (metadata records excluded)."""
         payload = self.chrome_trace()
+        # One-shot ``dumps`` runs the C encoder; ``json.dump`` would run
+        # the pure-Python one, whose recursive closures are a reference
+        # cycle left for the garbage collector.
         with open(path, "w") as handle:
-            json.dump(payload, handle)
+            handle.write(json.dumps(payload))
         return sum(1 for e in payload["traceEvents"] if e["ph"] == "X")
 
     def render_tree(self, min_fraction: float = 0.0) -> str:

@@ -25,6 +25,11 @@ post-pipeline instructions and their uids for the next one to match
 against.  The differential suite pins every ``update()`` result —
 points-to sets, instrumentation plans, Γ verdicts — identical to a
 cold ``prepare_module`` + ``run_usher`` of the same module.
+
+Opening a session and :meth:`AnalysisSession.update` run with the
+cyclic garbage collector paused (:mod:`repro.gcpause`): a replaced
+generation holds no reference cycle, so reference counting frees it
+as soon as the update commits.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ import time
 from dataclasses import asdict, dataclass, replace
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.gcpause import collector_paused
 from repro.ir.module import Module
 from repro.ir.parser import parse_ir
 from repro.ir.printer import function_to_str, module_to_str
@@ -182,6 +188,7 @@ class AnalysisSession:
 
     # -- construction ---------------------------------------------------
     @classmethod
+    @collector_paused()
     def from_source(
         cls,
         source: str,
@@ -199,6 +206,7 @@ class AnalysisSession:
         )
 
     @classmethod
+    @collector_paused()
     def from_ir(
         cls,
         text: str,
@@ -317,6 +325,7 @@ class AnalysisSession:
     def msan_plan(self) -> InstrumentationPlan:
         return run_msan(self.prepared)
 
+    @collector_paused()
     def update(self, function_name: str, new_body: str) -> UpdateStats:
         """Replace ``function_name``'s body and re-analyze the module.
 

@@ -418,45 +418,49 @@ class _Builder:
             return None
         if not isinstance(store.ptr, Var):
             return None
-        if not self._derives_only_from(func, store.ptr, alloc.dst):
+        if not self._derives_only_from(func, store.ptr, alloc.dst, {}):
             return None
         if not self._dom[func].instr_dominates(alloc, store):
             return None
         return alloc_chi.old_version
 
-    def _derives_only_from(self, func: str, var: Var, source: Var) -> bool:
-        """Whether every value of ``var`` flows through top-level variable
+    def _derives_only_from(
+        self,
+        func: str,
+        v: Var,
+        source: Var,
+        state: Dict[Tuple[str, int], bool],
+    ) -> bool:
+        """Whether every value of ``v`` flows through top-level variable
         ``source`` (the VFG-dominance condition of §3.2), following only
         top-level copies, geps and φs.
 
         Cycles (φ loops) are resolved optimistically — a cycle introduces
-        no value source of its own.
+        no value source of its own.  ``state`` memoizes the verdict per
+        variable; callers pass a fresh ``{}`` (a closure over it would
+        be a reference cycle holding the builder).
         """
-        state: Dict[Tuple[str, int], bool] = {}
-
-        def walk(v: Var) -> bool:
-            if v.name == source.name and v.version == source.version:
-                return True
-            key = (v.name, v.version or 0)
-            if key in state:
-                return state[key]
-            state[key] = True  # optimistic for cycles
-            instr = self._top_defs.get((func, v.name, v.version or 0))
-            if isinstance(instr, ins.Copy) and isinstance(instr.src, Var):
-                result = walk(instr.src)
-            elif isinstance(instr, ins.Gep) and isinstance(instr.base, Var):
-                result = walk(instr.base)
-            elif isinstance(instr, ins.Phi):
-                result = all(
-                    isinstance(value, Var) and walk(value)
-                    for value in instr.incomings.values()
-                )
-            else:
-                result = False
-            state[key] = result
-            return result
-
-        return walk(var)
+        if v.name == source.name and v.version == source.version:
+            return True
+        key = (v.name, v.version or 0)
+        if key in state:
+            return state[key]
+        state[key] = True  # optimistic for cycles
+        instr = self._top_defs.get((func, v.name, v.version or 0))
+        if isinstance(instr, ins.Copy) and isinstance(instr.src, Var):
+            result = self._derives_only_from(func, instr.src, source, state)
+        elif isinstance(instr, ins.Gep) and isinstance(instr.base, Var):
+            result = self._derives_only_from(func, instr.base, source, state)
+        elif isinstance(instr, ins.Phi):
+            result = all(
+                isinstance(value, Var)
+                and self._derives_only_from(func, value, source, state)
+                for value in instr.incomings.values()
+            )
+        else:
+            result = False
+        state[key] = result
+        return result
 
     def _returns(self, callee: str) -> List[Tuple[ins.Ret, Dict[MemLoc, ins.Mu]]]:
         """``callee``'s returns, each with its μs indexed by location
